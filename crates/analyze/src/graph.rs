@@ -21,7 +21,7 @@
 //!   `.lock()`), `Path::to::m(…)`, and bare `m(…)`.
 //! * local type hints — parameter types plus a small `let`-binding
 //!   inference (`X::new(…)` → `X`, `….dial(…)` → `Connection`,
-//!   `….try_split()` → `SendHalf`/`RecvHalf`, root-hint propagation for
+//!   `….split()` → `SendHalf`/`RecvHalf`, root-hint propagation for
 //!   plain forwarding bindings).
 //! * spawn regions — the argument ranges of `…spawn(…)` calls, and the set
 //!   of functions referenced inside them (dedicated-thread entry points;
@@ -1230,7 +1230,12 @@ fn local_hints(
         let ty: Vec<String> = if let Some(c) = colon {
             // Explicit `let x: T = …`.
             toks[c + 1..eq].iter().filter(|t| t.kind == TokKind::Ident).map(|t| t.text.clone()).collect()
-        } else if rhs_calls(rhs, "try_split") {
+        } else if rhs.windows(4).any(|w| {
+            // `.split()` with no arguments: `Connection::split`, never
+            // `str::split`.
+            w[0].is_punct('.') && w[1].is_ident("split") && w[2].is_punct('(')
+                && w[3].is_punct(')')
+        }) {
             if names.len() == 2 {
                 hints.insert(names[0].clone(), vec!["SendHalf".into()]);
                 hints.insert(names[1].clone(), vec!["RecvHalf".into()]);

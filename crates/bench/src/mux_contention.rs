@@ -1,8 +1,8 @@
 //! Wall-clock concurrent-clients benchmark: N client threads hammer one
 //! endpoint and we compare the multiplexed per-endpoint channel
-//! ([`PoolMode::Auto`] over a splittable transport) against the historical
-//! serialized wire ([`PoolMode::Striped`]`(1)`, one lock held across every
-//! exchange).
+//! ([`Wire::Multiplexed`]) against the historical serialized wire
+//! ([`Wire::Serialized`]: the same channel with a lock held across every
+//! invocation, so one request is in flight at a time).
 //!
 //! The server sleeps a fixed per-request delay, so the wire either pipelines
 //! N requests into that delay (mux) or pays it N times in a row
@@ -14,10 +14,12 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use parking_lot::Mutex;
+
 use ohpc_orb::context::OrRow;
 use ohpc_orb::{
     ApplicabilityRule, CapabilityRegistry, Context, ContextId, GlobalPointer, Location,
-    MethodError, PoolMode, ProtoPool, ProtocolId, RemoteObject, TransportProto,
+    MethodError, ProtoPool, ProtocolId, RemoteObject, TransportProto,
 };
 use ohpc_resilience::HealthRegistry;
 use ohpc_transport::mem::MemFabric;
@@ -64,6 +66,16 @@ impl RemoteObject for SlowEcho {
     }
 }
 
+/// How the client threads share the endpoint's channel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Wire {
+    /// Every client invokes concurrently: N requests in flight at once.
+    Multiplexed,
+    /// A lock held across each invocation: one request in flight at a time,
+    /// the historical one-lock-per-exchange wire.
+    Serialized,
+}
+
 /// One measured configuration.
 #[derive(Debug, Clone)]
 pub struct ContentionSample {
@@ -82,9 +94,9 @@ pub struct ContentionSample {
 pub struct ContentionRow {
     /// Concurrent client threads.
     pub clients: usize,
-    /// [`PoolMode::Auto`] (multiplexed) measurement.
+    /// [`Wire::Multiplexed`] measurement.
     pub mux: ContentionSample,
-    /// [`PoolMode::Striped`]`(1)` (serialized baseline) measurement.
+    /// [`Wire::Serialized`] (baseline) measurement.
     pub serialized: ContentionSample,
 }
 
@@ -104,7 +116,7 @@ impl ContentionRow {
 /// against the unique token its request carried, so the measurement doubles
 /// as a demux-routing correctness check.
 pub fn run_contention(
-    mode: PoolMode,
+    wire: Wire,
     clients: usize,
     requests_per_client: usize,
     delay: Duration,
@@ -122,24 +134,26 @@ pub fn run_contention(
         }
     };
 
-    let proto = TransportProto::new(ProtocolId::TCP, ApplicabilityRule::Always, Arc::new(fabric))
-        .with_pool_mode(mode);
+    let proto = TransportProto::new(ProtocolId::TCP, ApplicabilityRule::Always, Arc::new(fabric));
     // Reader-thread deaths and exchange failures feed one shared registry.
     let health = Arc::new(HealthRegistry::new());
     proto.set_health_registry(health.clone());
     let pool = Arc::new(ProtoPool::new().with(Arc::new(proto)));
     let gp = Arc::new(GlobalPointer::new(or, pool, Location::new(1, 0)));
     gp.set_health_registry(health);
+    let serialize = Arc::new(Mutex::new(()));
 
     let t0 = Instant::now();
     let workers: Vec<_> = (0..clients)
         .map(|c| {
             let gp = Arc::clone(&gp);
+            let serialize = Arc::clone(&serialize);
             std::thread::spawn(move || {
                 for i in 0..requests_per_client {
                     let token = ((c as u64) << 32) | i as u64;
                     let mut args = XdrWriter::new();
                     args.put_u64(token);
+                    let _one_in_flight = (wire == Wire::Serialized).then(|| serialize.lock());
                     let reply = match gp.invoke(ECHO_METHOD, &args) {
                         Ok(b) => b,
                         Err(e) => panic!("contention invoke failed: {e}"),
@@ -178,8 +192,8 @@ pub fn sweep(
         .iter()
         .map(|&clients| ContentionRow {
             clients,
-            mux: run_contention(PoolMode::Auto, clients, requests_per_client, delay),
-            serialized: run_contention(PoolMode::Striped(1), clients, requests_per_client, delay),
+            mux: run_contention(Wire::Multiplexed, clients, requests_per_client, delay),
+            serialized: run_contention(Wire::Serialized, clients, requests_per_client, delay),
         })
         .collect()
 }
@@ -258,7 +272,7 @@ mod tests {
 
     #[test]
     fn tiny_contention_run_round_trips() {
-        let s = run_contention(PoolMode::Auto, 2, 3, Duration::from_micros(200));
+        let s = run_contention(Wire::Multiplexed, 2, 3, Duration::from_micros(200));
         assert_eq!(s.clients, 2);
         assert!(s.throughput_rps > 0.0);
     }

@@ -139,11 +139,10 @@ pub fn run_overload(cfg: &OverloadConfig) -> OverloadSample {
     ctx.make_or(object, &[OrRow::Plain(ProtocolId::TCP)])
         .expect("overload harness cannot mint an OR");
 
-    let mut conn = match fabric.dial(&Endpoint::Mem(1)) {
-        Ok(c) => c,
+    let (mut tx, mut rx) = match fabric.dial(&Endpoint::Mem(1)) {
+        Ok(c) => c.split(),
         Err(e) => panic!("overload harness cannot dial its own mem fabric: {e}"),
     };
-    let (mut tx, mut rx) = conn.try_split().expect("mem connections split");
 
     // send_ns[i] = nanoseconds after t0 request i went on the wire; written
     // by the sender before the send, read by the reader after the matching

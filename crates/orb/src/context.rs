@@ -19,7 +19,7 @@ use ohpc_nexus::NexusService;
 use ohpc_netsim::Location;
 use ohpc_resilience::{BreakerState, HealthKey, HealthPolicy, HealthRegistry};
 use ohpc_runtime::{AdmissionController, Executor, Permit, SerialQueue};
-use ohpc_transport::{Connection, Listener};
+use ohpc_transport::{Connection, Listener, SendHalf};
 use ohpc_xdr::{XdrReader, XdrWriter};
 
 use crate::capability::{
@@ -386,47 +386,19 @@ impl Context {
         self.inner.stopping.store(false, Ordering::Release);
     }
 
-    fn serve_connection(&self, mut conn: Box<dyn Connection>) {
-        // Splittable transports get concurrent dispatch: clients multiplex
-        // many requests onto one connection, so handling them one at a time
-        // would re-serialize the wire server-side.
-        if let Some((tx, rx)) = conn.try_split() {
-            drop(conn);
-            self.serve_connection_split(tx, rx);
-            return;
-        }
-        while let Ok(frame) = conn.recv() {
-            if self.inner.stopping.load(Ordering::Acquire) {
-                return; // drop the connection: this context is gone
-            }
-            // One-way requests yield no reply frame.
-            if let Some(reply) = self.handle_frame_opt(&frame) {
-                if conn.send(&reply).is_err() {
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Concurrent server loop for split connections: the reader decodes
-    /// frames in arrival order, runs admission, and hands admitted requests
-    /// to the context's executor. Reply writers share the send half behind
-    /// a lock; the transport's framing keeps interleaved replies whole, and
-    /// the client demultiplexes by request id, so reply order does not
-    /// matter.
+    /// Server loop for one connection: the reader decodes frames in arrival
+    /// order, runs admission, and hands admitted requests to the context's
+    /// executor. Reply writers share the send half behind a lock; the
+    /// transport's framing keeps interleaved replies whole, and the client
+    /// demultiplexes by request id, so reply order does not matter.
     ///
     /// Ordering guarantee: one-way requests from one connection run through
     /// a per-connection FIFO lane ([`SerialQueue`]), and every two-way
     /// request barriers on the one-ways read before it (`wait_for`), so
     /// clients keep the invariant "one-ways dispatched before a later
-    /// two-way is answered" — previously provided by running one-ways
-    /// inline on the reader thread, which let a slow one-way starve the
-    /// demux loop.
-    fn serve_connection_split(
-        &self,
-        tx: Box<dyn ohpc_transport::SendHalf>,
-        mut rx: Box<dyn ohpc_transport::RecvHalf>,
-    ) {
+    /// two-way is answered" without a slow one-way stalling the reader.
+    fn serve_connection(&self, conn: Box<dyn Connection>) {
+        let (tx, mut rx) = conn.split();
         let writer = Arc::new(Mutex::new(tx));
         let executor = self.executor();
         let oneways = SerialQueue::new(executor.clone());
@@ -442,12 +414,8 @@ impl Context {
                     let reply = ReplyMessage::status(
                         crate::ids::RequestId(0),
                         ReplyStatus::Exception(format!("malformed request: {e}")),
-                    )
-                    .to_frame();
-                    // ohpc-analyze: allow(guard-across-blocking) — the writer
-                    // mutex serializes replies from the executor tasks; one
-                    // frame per guard is the design.
-                    if writer.lock().send(&reply).is_err() {
+                    );
+                    if !send_reply(&writer, &reply.to_frame()) {
                         return;
                     }
                     continue;
@@ -468,8 +436,7 @@ impl Context {
                     // gracefully degrading means rejections stay fast when
                     // the pool is the thing that is saturated.
                     let reply = ReplyMessage::status(rid, status).to_frame();
-                    // ohpc-analyze: allow(guard-across-blocking) — see above.
-                    if writer.lock().send(&reply).is_err() {
+                    if !send_reply(&writer, &reply) {
                         return;
                     }
                     continue;
@@ -492,10 +459,7 @@ impl Context {
             executor.execute(Box::new(move || {
                 lane.wait_for(mark);
                 let reply = ctx.dispatch_admitted(req, permit).to_frame();
-                // ohpc-analyze: allow(guard-across-blocking) — the writer
-                // mutex serializes replies from the executor tasks; one
-                // frame per guard is the design.
-                let _ = writer.lock().send(&reply);
+                send_reply(&writer, &reply);
             }));
         }
     }
@@ -813,6 +777,22 @@ impl Drop for ContextInner {
             (h.shutdown)();
         }
     }
+}
+
+/// Sends one reply frame. A failed send closes the writer, so the client's
+/// mux sees the connection end and fails its waiters instead of waiting
+/// forever for a reply that never left (a sim partition between request and
+/// reply does exactly that). Returns whether the reply was sent.
+fn send_reply(writer: &Mutex<Box<dyn SendHalf>>, reply: &[u8]) -> bool {
+    // ohpc-analyze: allow(guard-across-blocking) — the writer mutex
+    // serializes replies from the executor tasks; one frame per guard is the
+    // design.
+    let mut w = writer.lock();
+    let sent = w.send(reply).is_ok();
+    if !sent {
+        w.close();
+    }
+    sent
 }
 
 #[cfg(test)]

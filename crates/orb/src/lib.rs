@@ -70,7 +70,7 @@ pub use message::{ReplyMessage, ReplyStatus, RequestMessage};
 pub use objref::{ObjectReference, ProtoData, ProtoEntry};
 pub use proto::{ApplicabilityRule, ProtoObject, ProtoPool};
 pub use skeleton::{MethodError, RemoteObject};
-pub use transport_proto::{NexusProto, PoolMode, TransportProto};
+pub use transport_proto::{NexusProto, TransportProto};
 
 // Re-export the location vocabulary: every applicability decision speaks it.
 pub use ohpc_netsim::{LanId, LinkClass, Location, MachineId, SiteId};

@@ -7,16 +7,11 @@
 //! different dialers and applicability rules — which is precisely the
 //! "proto-class" reuse the paper describes.
 //!
-//! Per-endpoint pooling comes in two shapes (see [`PoolMode`]):
-//!
-//! - **Multiplexed** (the default, when the transport's connections can
-//!   [split](ohpc_transport::Connection::try_split)): one connection per
-//!   endpoint, a writer lock held only for the framed send, and a dedicated
-//!   reader thread demultiplexing replies to waiters by `request_id`. N
-//!   concurrent invocations have N requests in flight on one wire.
-//! - **Striped**: K independent connections whose locks are held across the
-//!   whole exchange, for transports whose framing cannot interleave
-//!   concurrent requests (the simulated network, fault-injection wrappers).
+//! Each endpoint gets one multiplexed channel: one
+//! [split](ohpc_transport::Connection::split) connection, a writer lock
+//! held only for the framed send, and a dedicated reader thread
+//! demultiplexing replies to waiters by `request_id`. N concurrent
+//! invocations have N requests in flight on one wire.
 //!
 //! Two pooling rules apply everywhere in this module:
 //!
@@ -32,7 +27,6 @@
 //! Nexus RSR layer instead of raw framed connections.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -43,7 +37,7 @@ use ohpc_nexus::{HandlerId, NexusError, Startpoint};
 use ohpc_netsim::Location;
 use ohpc_resilience::{HealthKey, HealthRegistry};
 use ohpc_transport::mux::{DeathHook, MuxChannel, MuxError};
-use ohpc_transport::{Connection, Dialer, Endpoint, RecvHalf, SendHalf, TransportError};
+use ohpc_transport::{Dialer, Endpoint, RecvHalf, SendHalf};
 use ohpc_xdr::{XdrReader, XdrWriter};
 
 use crate::error::OrbError;
@@ -54,10 +48,6 @@ use crate::proto::{ApplicabilityRule, ProtoObject, ProtoPool};
 
 /// Handler slot the ORB occupies inside a Nexus service.
 pub const NEXUS_ORB_HANDLER: HandlerId = HandlerId(0xC0DE);
-
-/// Stripe count used when [`PoolMode::Auto`] falls back on a transport whose
-/// connections cannot split.
-pub const DEFAULT_STRIPES: usize = 4;
 
 fn endpoint_of(entry: &ProtoEntry) -> Result<Endpoint, OrbError> {
     match &entry.data {
@@ -76,106 +66,25 @@ fn reply_request_id(frame: &Bytes) -> Option<u64> {
     XdrReader::new(frame).get_u64().ok()
 }
 
-/// How a [`TransportProto`] pools per-endpoint connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PoolMode {
-    /// Multiplex requests over one split connection when the transport
-    /// supports it; fall back to [`DEFAULT_STRIPES`] stripes otherwise.
-    Auto,
-    /// Always use a striped pool of the given width (clamped to ≥ 1). Width
-    /// 1 reproduces the historical one-lock-per-endpoint serialized wire,
-    /// which the contention benchmark uses as its baseline.
-    Striped(usize),
-}
-
-/// One slot of a striped pool: a lazily dialed connection whose lock is held
-/// across a full send+recv exchange (non-interleavable framing).
-struct Stripe {
-    slot: Mutex<Option<Box<dyn Connection>>>,
-}
-
-/// A fixed-width pool of independent connections to one endpoint.
-struct StripeSet {
-    stripes: Vec<Stripe>,
-    cursor: AtomicUsize,
-}
-
-impl StripeSet {
-    fn new(width: usize) -> Self {
-        let width = width.max(1);
-        Self {
-            stripes: (0..width).map(|_| Stripe { slot: Mutex::new(None) }).collect(),
-            cursor: AtomicUsize::new(0),
-        }
-    }
-
-    /// Seeds the first stripe with an already-dialed connection so the dial
-    /// performed during channel construction is not wasted.
-    fn adopt(&self, conn: Box<dyn Connection>) {
-        if let Some(stripe) = self.stripes.first() {
-            *stripe.slot.lock() = Some(conn);
-        }
-    }
-
-    /// Round-robin stripe choice. `None` only if the set is empty, which the
-    /// width clamp prevents; callers still handle it rather than index.
-    fn pick(&self) -> Option<&Stripe> {
-        if self.stripes.is_empty() {
-            return None;
-        }
-        let i = self.cursor.fetch_add(1, Ordering::Relaxed) % self.stripes.len();
-        self.stripes.get(i)
-    }
-}
-
-/// A pooled per-endpoint channel.
-#[derive(Clone)]
-enum Channel {
-    /// Split connection with a demux reader: N requests in flight at once.
-    Mux(Arc<MuxChannel>),
-    /// Independent lock-across-exchange connections.
-    Striped(Arc<StripeSet>),
-}
-
-impl Channel {
-    /// `Arc` identity, the unit eviction operates on.
-    fn same_identity(&self, other: &Channel) -> bool {
-        match (self, other) {
-            (Channel::Mux(a), Channel::Mux(b)) => Arc::ptr_eq(a, b),
-            (Channel::Striped(a), Channel::Striped(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
-    }
-}
-
 /// A proto-object speaking raw ORB frames over a transport.
 pub struct TransportProto {
     id: ProtocolId,
     rule: ApplicabilityRule,
     dialer: Arc<dyn Dialer>,
-    mode: PoolMode,
-    channels: Mutex<HashMap<Endpoint, Channel>>,
+    channels: Mutex<HashMap<Endpoint, Arc<MuxChannel>>>,
     health_sink: Mutex<Option<Arc<HealthRegistry>>>,
 }
 
 impl TransportProto {
-    /// Builds a proto-object for `id` with the given applicability, pooling
-    /// in [`PoolMode::Auto`].
+    /// Builds a proto-object for `id` with the given applicability.
     pub fn new(id: ProtocolId, rule: ApplicabilityRule, dialer: Arc<dyn Dialer>) -> Self {
         Self {
             id,
             rule,
             dialer,
-            mode: PoolMode::Auto,
             channels: Mutex::new(HashMap::new()),
             health_sink: Mutex::new(None),
         }
-    }
-
-    /// Builder-style pool-mode override.
-    pub fn with_pool_mode(mut self, mode: PoolMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Connects reader-thread deaths to a health registry: a mux whose demux
@@ -192,17 +101,10 @@ impl TransportProto {
     }
 
     /// Requests currently awaiting replies on `ep`'s multiplexed channel
-    /// (0 for striped or unpooled endpoints). For tests and benchmarks.
+    /// (0 for unpooled endpoints). For tests and benchmarks.
     pub fn mux_in_flight(&self, ep: &Endpoint) -> usize {
-        let chan = self.cached_channel_if_any(ep);
-        match chan {
-            Some(Channel::Mux(m)) => m.in_flight(),
-            _ => 0,
-        }
-    }
-
-    fn cached_channel_if_any(&self, ep: &Endpoint) -> Option<Channel> {
-        self.channels.lock().get(ep).cloned()
+        let chan = self.channels.lock().get(ep).cloned();
+        chan.map_or(0, |m| m.in_flight())
     }
 
     fn health_registry(&self) -> Option<Arc<HealthRegistry>> {
@@ -210,46 +112,25 @@ impl TransportProto {
     }
 
     /// Returns the pooled channel for `ep` and whether it was already
-    /// cached. Dead mux channels are evicted lazily here.
-    fn channel(&self, ep: &Endpoint) -> Result<(Channel, bool), OrbError> {
+    /// cached. Dead channels are evicted lazily here.
+    fn channel(&self, ep: &Endpoint) -> Result<(Arc<MuxChannel>, bool), OrbError> {
         if let Some(chan) = self.cached_channel(ep) {
             return Ok((chan, true));
         }
-        let built = self.build_channel(ep).map_err(OrbError::Transport)?;
-        Ok(self.install(ep, built))
+        let (tx, rx) = self.dialer.dial(ep).map_err(OrbError::Transport)?.split();
+        Ok(self.install(ep, self.spawn_mux(ep, tx, rx)))
     }
 
-    /// Single-lock lookup: get + liveness check + eviction of a dead mux
+    /// Single-lock lookup: get + liveness check + eviction of a dead channel
     /// under one guard, so a caller cannot hand out a channel another caller
     /// concurrently declared dead.
-    fn cached_channel(&self, ep: &Endpoint) -> Option<Channel> {
+    fn cached_channel(&self, ep: &Endpoint) -> Option<Arc<MuxChannel>> {
         let mut map = self.channels.lock();
-        if matches!(map.get(ep), Some(Channel::Mux(m)) if m.is_dead()) {
+        if map.get(ep).is_some_and(|m| m.is_dead()) {
             map.remove(ep);
             return None;
         }
         map.get(ep).cloned()
-    }
-
-    /// Dials and wraps a fresh channel. In [`PoolMode::Auto`] a transport
-    /// that can split its connections gets a mux; everything else stripes.
-    fn build_channel(&self, ep: &Endpoint) -> Result<Channel, TransportError> {
-        let mut conn = self.dialer.dial(ep)?;
-        let width = match self.mode {
-            PoolMode::Auto => match conn.try_split() {
-                Some((tx, rx)) => {
-                    // The halves own socket duplicates / channel clones; the
-                    // original connection object is no longer needed.
-                    drop(conn);
-                    return Ok(Channel::Mux(self.spawn_mux(ep, tx, rx)));
-                }
-                None => DEFAULT_STRIPES,
-            },
-            PoolMode::Striped(k) => k,
-        };
-        let set = StripeSet::new(width);
-        set.adopt(conn);
-        Ok(Channel::Striped(Arc::new(set)))
     }
 
     /// Spawns the demux channel for `ep`, wiring reader-thread death into
@@ -276,7 +157,7 @@ impl TransportProto {
     /// dial race while we were connecting, in which case the earlier channel
     /// wins, our duplicate is torn down, and the avoided double-dial is
     /// counted. Returns the channel to use and whether it was cached.
-    fn install(&self, ep: &Endpoint, built: Channel) -> (Channel, bool) {
+    fn install(&self, ep: &Endpoint, built: Arc<MuxChannel>) -> (Arc<MuxChannel>, bool) {
         match self.install_or_existing(ep, &built) {
             None => (built, false),
             Some(winner) => {
@@ -284,9 +165,7 @@ impl TransportProto {
                     "orb_double_dial_avoided_total",
                     &[("protocol", &self.id.to_string())],
                 );
-                if let Channel::Mux(ours) = built {
-                    ours.shutdown();
-                }
+                built.shutdown();
                 (winner, true)
             }
         }
@@ -295,12 +174,13 @@ impl TransportProto {
     /// The map half of [`install`](Self::install): re-checks under the lock
     /// and inserts only when no live channel is present. Returns the
     /// existing live channel when the race was lost.
-    fn install_or_existing(&self, ep: &Endpoint, built: &Channel) -> Option<Channel> {
+    fn install_or_existing(
+        &self,
+        ep: &Endpoint,
+        built: &Arc<MuxChannel>,
+    ) -> Option<Arc<MuxChannel>> {
         let mut map = self.channels.lock();
-        let live = match map.get(ep) {
-            Some(Channel::Mux(m)) if m.is_dead() => None,
-            other => other.cloned(),
-        };
+        let live = map.get(ep).filter(|m| !m.is_dead()).cloned();
         if live.is_none() {
             map.insert(ep.clone(), built.clone());
         }
@@ -311,13 +191,9 @@ impl TransportProto {
     /// caller observed failing (`Arc` identity, not key): a racing caller
     /// may already have replaced it with a fresh healthy channel that must
     /// not be torn down by a stale failure report.
-    fn evict(&self, ep: &Endpoint, stale: &Channel) {
+    fn evict(&self, ep: &Endpoint, stale: &Arc<MuxChannel>) {
         let mut map = self.channels.lock();
-        let is_current = match map.get(ep) {
-            Some(cur) => cur.same_identity(stale),
-            None => false,
-        };
-        if is_current {
+        if map.get(ep).is_some_and(|cur| Arc::ptr_eq(cur, stale)) {
             map.remove(ep);
         }
     }
@@ -340,23 +216,16 @@ impl TransportProto {
     ) -> Result<Bytes, OrbError> {
         for attempt in 0..2 {
             let (chan, was_cached) = self.channel(ep)?;
-            match &chan {
-                Channel::Striped(set) => {
-                    return self.exchange_striped(ep, set, frame, remaining_ns);
+            match self.exchange_mux(ep, &chan, request_id, frame, remaining_ns) {
+                // Stale cached channel (e.g. the server restarted): the frame
+                // provably never left, retry once fresh.
+                Err(OrbError::Transport(_)) if was_cached && attempt == 0 => {
+                    ohpc_telemetry::inc(
+                        "orb_transport_retries_total",
+                        &[("protocol", &self.id.to_string())],
+                    );
                 }
-                Channel::Mux(mux) => {
-                    match self.exchange_mux(ep, &chan, mux, request_id, frame, remaining_ns) {
-                        // Stale cached mux (e.g. the server restarted): the
-                        // frame provably never left, retry once fresh.
-                        Err(OrbError::Transport(_)) if was_cached && attempt == 0 => {
-                            ohpc_telemetry::inc(
-                                "orb_transport_retries_total",
-                                &[("protocol", &self.id.to_string())],
-                            );
-                        }
-                        outcome => return outcome,
-                    }
-                }
+                outcome => return outcome,
             }
         }
         // Both iterations return above; keep a typed error rather than a
@@ -371,7 +240,6 @@ impl TransportProto {
     fn exchange_mux(
         &self,
         ep: &Endpoint,
-        chan: &Channel,
         mux: &Arc<MuxChannel>,
         request_id: u64,
         frame: &[u8],
@@ -382,7 +250,7 @@ impl TransportProto {
             Ok(reply) => Ok(reply),
             Err(err) => {
                 if mux.is_dead() {
-                    self.evict(ep, chan);
+                    self.evict(ep, mux);
                 }
                 match err {
                     MuxError::Unsent(e) => Err(OrbError::Transport(e)),
@@ -391,104 +259,6 @@ impl TransportProto {
             }
         }
     }
-
-    /// Fallback exchange: one stripe's lock is held across send+recv because
-    /// the framing cannot interleave. The deadline arms the connection's
-    /// receive timeout (where supported). Failed or timed-out connections
-    /// are dropped in place — a timeout may leave a partial frame on the
-    /// wire, which would desynchronize the next exchange.
-    fn exchange_striped(
-        &self,
-        ep: &Endpoint,
-        set: &Arc<StripeSet>,
-        frame: &[u8],
-        remaining_ns: Option<u64>,
-    ) -> Result<Bytes, OrbError> {
-        let Some(stripe) = set.pick() else {
-            return Err(OrbError::Protocol("striped pool has no stripes".into()));
-        };
-        // ohpc-analyze: allow(guard-across-blocking) — a stripe is one
-        // connection whose request/reply pairs must not interleave; holding
-        // the slot mutex across the exchange is the striping design, and
-        // contention is bounded by picking among independent stripes.
-        let mut slot = stripe.slot.lock();
-        for attempt in 0..2 {
-            let had_conn = slot.is_some();
-            if slot.is_none() {
-                *slot = Some(self.dialer.dial(ep).map_err(OrbError::Transport)?);
-            }
-            let Some(conn) = slot.as_mut() else { break };
-            match conn.send(frame) {
-                Err(e) => {
-                    *slot = None;
-                    if !(had_conn && attempt == 0) {
-                        return Err(e.into());
-                    }
-                    ohpc_telemetry::inc(
-                        "orb_transport_retries_total",
-                        &[("protocol", &self.id.to_string())],
-                    );
-                }
-                Ok(()) => {
-                    let timeout = remaining_ns.map(Duration::from_nanos);
-                    if timeout.is_some() {
-                        let _ = conn.set_recv_timeout(timeout);
-                    }
-                    match conn.recv() {
-                        Ok(reply) => {
-                            if timeout.is_some() {
-                                let _ = conn.set_recv_timeout(None);
-                            }
-                            return Ok(reply);
-                        }
-                        Err(e) => {
-                            *slot = None;
-                            return Err(OrbError::AmbiguousTransport(e));
-                        }
-                    }
-                }
-            }
-        }
-        Err(OrbError::Protocol("exchange retry loop exhausted".into()))
-    }
-
-    /// One-way send on a stripe: lock, lazily dial, send; a failing pooled
-    /// connection is dropped and retried once with a fresh dial.
-    fn send_striped(
-        &self,
-        ep: &Endpoint,
-        set: &Arc<StripeSet>,
-        frame: &[u8],
-    ) -> Result<(), OrbError> {
-        let Some(stripe) = set.pick() else {
-            return Err(OrbError::Protocol("striped pool has no stripes".into()));
-        };
-        // ohpc-analyze: allow(guard-across-blocking) — one-way sends share
-        // the stripe's framing discipline: the slot mutex keeps concurrent
-        // writers from interleaving frames on the stripe's connection.
-        let mut slot = stripe.slot.lock();
-        for attempt in 0..2 {
-            let had_conn = slot.is_some();
-            if slot.is_none() {
-                *slot = Some(self.dialer.dial(ep).map_err(OrbError::Transport)?);
-            }
-            let Some(conn) = slot.as_mut() else { break };
-            match conn.send(frame) {
-                Ok(()) => return Ok(()),
-                Err(e) => {
-                    *slot = None;
-                    if !(had_conn && attempt == 0) {
-                        return Err(e.into());
-                    }
-                    ohpc_telemetry::inc(
-                        "orb_transport_retries_total",
-                        &[("protocol", &self.id.to_string())],
-                    );
-                }
-            }
-        }
-        Err(OrbError::Protocol("oneway retry loop exhausted".into()))
-    }
 }
 
 impl Drop for TransportProto {
@@ -496,11 +266,9 @@ impl Drop for TransportProto {
         // Mux reader threads hold their channels alive; closing the send
         // halves unblocks them so no reader outlives the proto. Shutdown
         // happens outside the cache lock.
-        let drained: Vec<Channel> = self.channels.lock().drain().map(|(_, c)| c).collect();
+        let drained: Vec<Arc<MuxChannel>> = self.channels.lock().drain().map(|(_, c)| c).collect();
         for chan in drained {
-            if let Channel::Mux(m) = chan {
-                m.shutdown();
-            }
+            chan.shutdown();
         }
     }
 }
@@ -560,26 +328,23 @@ impl ProtoObject for TransportProto {
         let frame = req.to_frame();
         for attempt in 0..2 {
             let (chan, was_cached) = self.channel(&ep)?;
-            match &chan {
-                Channel::Striped(set) => return self.send_striped(&ep, set, &frame),
-                Channel::Mux(mux) => match mux.send_only(&frame) {
-                    Ok(()) => return Ok(()),
-                    Err(err) => {
-                        if mux.is_dead() {
-                            self.evict(&ep, &chan);
-                        }
-                        // send_only failures are always pre-send; a one-way
-                        // either left the process or it did not.
-                        let e = err.transport().clone();
-                        if !(was_cached && attempt == 0) {
-                            return Err(OrbError::Transport(e));
-                        }
-                        ohpc_telemetry::inc(
-                            "orb_transport_retries_total",
-                            &[("protocol", &self.id.to_string())],
-                        );
+            match chan.send_only(&frame) {
+                Ok(()) => return Ok(()),
+                Err(err) => {
+                    if chan.is_dead() {
+                        self.evict(&ep, &chan);
                     }
-                },
+                    // send_only failures are always pre-send; a one-way
+                    // either left the process or it did not.
+                    let e = err.transport().clone();
+                    if !(was_cached && attempt == 0) {
+                        return Err(OrbError::Transport(e));
+                    }
+                    ohpc_telemetry::inc(
+                        "orb_transport_retries_total",
+                        &[("protocol", &self.id.to_string())],
+                    );
+                }
             }
         }
         // Both iterations return above; keep a typed error rather than a
@@ -754,7 +519,7 @@ mod tests {
     use crate::ids::{ObjectId, RequestId};
     use bytes::Bytes;
     use ohpc_transport::mem::MemFabric;
-    use ohpc_transport::Listener as _;
+    use ohpc_transport::{Connection, Listener as _, TransportError};
 
     fn request(id: u64, body: &'static [u8]) -> RequestMessage {
         RequestMessage {
@@ -852,7 +617,7 @@ mod tests {
         proto.evict(&ep, &first);
         let (second, cached) = proto.channel(&ep).unwrap();
         assert!(!cached);
-        assert!(!first.same_identity(&second));
+        assert!(!Arc::ptr_eq(&first, &second));
 
         // The straggler now reports its stale failure. Key-based eviction
         // would tear down `second`; identity eviction must keep it.
@@ -860,15 +625,13 @@ mod tests {
         assert_eq!(proto.cached_connections(), 1, "fresh channel survived stale eviction");
         let (current, cached) = proto.channel(&ep).unwrap();
         assert!(cached);
-        assert!(current.same_identity(&second));
+        assert!(Arc::ptr_eq(&current, &second));
 
         // Evicting with the right identity still works.
         proto.evict(&ep, &second);
         assert_eq!(proto.cached_connections(), 0);
         for chan in [first, second] {
-            if let Channel::Mux(m) = chan {
-                m.shutdown();
-            }
+            chan.shutdown();
         }
     }
 
@@ -907,30 +670,10 @@ mod tests {
                 std::thread::spawn(move || proto.channel(&ep).unwrap().0)
             })
             .collect();
-        let chans: Vec<Channel> =
+        let chans: Vec<Arc<MuxChannel>> =
             racers.into_iter().map(|t| t.join().unwrap()).collect();
         assert_eq!(proto.cached_connections(), 1, "the race must not publish two channels");
-        assert!(chans[0].same_identity(&chans[1]), "both racers share one channel");
-    }
-
-    /// `PoolMode::Striped(1)` reproduces the historical serialized wire.
-    #[test]
-    fn striped_mode_round_trips() {
-        let fabric = MemFabric::new();
-        let mut listener = fabric.listen_on(10);
-        let server = std::thread::spawn(move || {
-            let mut conn = listener.accept().unwrap();
-            let frame = conn.recv().unwrap();
-            let req = RequestMessage::from_frame(&frame).unwrap();
-            conn.send(&ReplyMessage::ok(req.request_id, req.body).to_frame()).unwrap();
-        });
-        let proto =
-            TransportProto::new(ProtocolId::SHM, ApplicabilityRule::Always, Arc::new(fabric))
-                .with_pool_mode(PoolMode::Striped(1));
-        let entry = ProtoEntry::endpoint(ProtocolId::SHM, "mem://10");
-        let reply = proto.invoke(&ProtoPool::new(), &entry, &request(3, b"stripe")).unwrap();
-        assert_eq!(&reply.body[..], b"stripe");
-        server.join().unwrap();
+        assert!(Arc::ptr_eq(&chans[0], &chans[1]), "both racers share one channel");
     }
 
     /// A hung (not crashed) server must not block past the deadline: the

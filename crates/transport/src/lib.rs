@@ -214,16 +214,9 @@ pub trait Connection: Send {
 
     /// Splits this connection into independent send/receive halves, so one
     /// thread can block in `recv` while others send — the prerequisite for
-    /// request multiplexing ([`mux::MuxChannel`]). The halves alias the same
-    /// underlying connection; after a successful split the original handle
-    /// should be dropped.
-    ///
-    /// The default refuses (`None`): transports whose framing or accounting
-    /// cannot interleave concurrent exchanges (the virtual-time-charged sim
-    /// fabric, fault-injection wrappers) stay on the striped-pool fallback.
-    fn try_split(&mut self) -> Option<(Box<dyn SendHalf>, Box<dyn RecvHalf>)> {
-        None
-    }
+    /// request multiplexing ([`mux::MuxChannel`]). Every fabric splits, so
+    /// the ORB has one client pool shape and one server loop.
+    fn split(self: Box<Self>) -> (Box<dyn SendHalf>, Box<dyn RecvHalf>);
 
     /// Arms (or with `None` disarms) a receive deadline: a subsequent `recv`
     /// that waits longer than `timeout` fails with
@@ -337,7 +330,7 @@ mod tests {
     }
 
     #[test]
-    fn split_and_recv_timeout_default_to_unsupported() {
+    fn recv_timeout_defaults_to_unsupported() {
         struct Fixed;
         impl Connection for Fixed {
             fn send(&mut self, _frame: &[u8]) -> Result<(), TransportError> {
@@ -346,9 +339,11 @@ mod tests {
             fn recv(&mut self) -> Result<Bytes, TransportError> {
                 Err(TransportError::Closed)
             }
+            fn split(self: Box<Self>) -> (Box<dyn SendHalf>, Box<dyn RecvHalf>) {
+                unimplemented!("not exercised")
+            }
         }
         let mut c: Box<dyn Connection> = Box::new(Fixed);
-        assert!(c.try_split().is_none());
         assert!(!c.set_recv_timeout(Some(std::time::Duration::from_millis(1))));
     }
 }

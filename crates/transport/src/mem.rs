@@ -48,14 +48,12 @@ impl Connection for MemConnection {
         telem::track_recv("mem", r)
     }
 
-    /// Mem splits by cloning the channel halves. Teardown chains naturally:
-    /// closing the send half drops our sender, the peer's receive loop sees
-    /// `Closed`, drops its own connection, and that unblocks our reader.
-    fn try_split(&mut self) -> Option<(Box<dyn SendHalf>, Box<dyn RecvHalf>)> {
-        Some((
-            Box::new(MemSendHalf { tx: Some(self.tx.clone()) }),
-            Box::new(MemRecvHalf { rx: self.rx.clone() }),
-        ))
+    /// Mem splits by handing each channel end to its half. Teardown chains
+    /// naturally: closing the send half drops our sender, the peer's receive
+    /// loop sees `Closed`, drops its own connection, and that unblocks our
+    /// reader.
+    fn split(self: Box<Self>) -> (Box<dyn SendHalf>, Box<dyn RecvHalf>) {
+        (Box::new(MemSendHalf { tx: Some(self.tx) }), Box::new(MemRecvHalf { rx: self.rx }))
     }
 
     fn set_recv_timeout(&mut self, timeout: Option<std::time::Duration>) -> bool {
@@ -320,9 +318,7 @@ mod tests {
         let fabric = MemFabric::new();
         let mut listener = fabric.listen();
         let ep = listener.endpoint();
-        let mut c = fabric.dial(&ep).unwrap();
-        let (mut tx, mut rx) = c.try_split().expect("mem must split");
-        drop(c);
+        let (mut tx, mut rx) = fabric.dial(&ep).unwrap().split();
         let mut server = listener.accept().unwrap();
         tx.send(b"halved").unwrap();
         assert_eq!(&server.recv().unwrap()[..], b"halved");

@@ -21,9 +21,12 @@
 //! When the reader thread dies, **every** waiter is failed promptly — a
 //! dead mux never leaves a caller blocked — and an optional death hook
 //! lets the owner feed the failure into circuit-breaker health, so a dead
-//! mux trips the same breaker a dead exchange does.
+//! mux trips the same breaker a dead exchange does. A reply that belongs to
+//! no live waiter and to no request this channel timed out on (its id was
+//! corrupted, or it never carried one) also kills the channel: its real
+//! waiter could otherwise wait forever.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -35,7 +38,8 @@ use parking_lot::Mutex;
 use crate::{RecvHalf, SendHalf, TransportError};
 
 /// Extracts the correlation id from a reply frame (`None` for frames that
-/// carry no recognizable id — they are counted as orphans and dropped).
+/// carry no recognizable id — like a reply to an unknown id, they kill the
+/// channel).
 pub type Correlator = Box<dyn Fn(&Bytes) -> Option<u64> + Send + Sync>;
 
 /// Invoked (once) when the reader thread dies from a transport error —
@@ -72,6 +76,11 @@ impl std::fmt::Display for MuxError {
     }
 }
 
+/// How many timed-out request ids a channel remembers, so their late
+/// replies count as orphans rather than kill the channel. A reply to an id
+/// older than that window is treated as unroutable.
+const MAX_TIMED_OUT: usize = 1024;
+
 /// Reply slot: the one-shot channel a caller waits on.
 type ReplySender = Sender<Result<Bytes, TransportError>>;
 
@@ -90,6 +99,9 @@ struct PendingState {
     /// registration checks it under the same lock, so no waiter can slip in
     /// after the drain and hang.
     dead: Option<TransportError>,
+    /// Ids whose callers gave up on a deadline, oldest first (bounded by
+    /// [`MAX_TIMED_OUT`]).
+    timed_out: VecDeque<u64>,
 }
 
 /// A multiplexed channel over one split connection. See the module docs.
@@ -116,7 +128,11 @@ impl MuxChannel {
     ) -> Arc<MuxChannel> {
         let chan = Arc::new(MuxChannel {
             sender: Mutex::new(Some(send)),
-            pending: Mutex::new(PendingState { waiters: HashMap::new(), dead: None }),
+            pending: Mutex::new(PendingState {
+                waiters: HashMap::new(),
+                dead: None,
+                timed_out: VecDeque::new(),
+            }),
             in_flight: AtomicI64::new(0),
             closing: AtomicBool::new(false),
         });
@@ -137,7 +153,7 @@ impl MuxChannel {
         let rx = self.register(id)?;
         if let Err(e) = self.send_frame(frame) {
             // The frame never went out; the waiter slot must not linger.
-            self.unregister(id);
+            self.unregister(id, false);
             return Err(MuxError::Unsent(e));
         }
         ohpc_telemetry::inc("mux_requests_total", &[]);
@@ -214,9 +230,21 @@ impl MuxChannel {
     }
 
     /// Removes a waiter slot, returning whether it was still registered
-    /// (false means a reply or death already claimed it).
-    fn unregister(&self, id: u64) -> bool {
-        let removed = self.pending.lock().waiters.remove(&id).is_some();
+    /// (false means a reply or death already claimed it). A `timed_out`
+    /// caller's id is remembered under the same lock, so its late reply is
+    /// never mistaken for an unroutable one.
+    fn unregister(&self, id: u64, timed_out: bool) -> bool {
+        let removed = {
+            let mut st = self.pending.lock();
+            let removed = st.waiters.remove(&id).is_some();
+            if removed && timed_out {
+                if st.timed_out.len() >= MAX_TIMED_OUT {
+                    st.timed_out.pop_front();
+                }
+                st.timed_out.push_back(id);
+            }
+            removed
+        };
         if removed {
             let now = self.in_flight.fetch_sub(1, Ordering::Relaxed) - 1;
             ohpc_telemetry::gauge("mux_in_flight", &[]).set(now);
@@ -251,7 +279,7 @@ impl MuxChannel {
             // Reader died after our frame was sent: the reply is lost.
             Ok(Err(e)) => Err(MuxError::Lost(e)),
             Err(RecvTimeoutError::Timeout) => {
-                if self.unregister(id) {
+                if self.unregister(id, true) {
                     Err(MuxError::Lost(TransportError::Timeout))
                 } else {
                     // The reply (or the channel's death) raced our timeout
@@ -266,23 +294,37 @@ impl MuxChannel {
             // The waiter sender vanished without a value: only possible if
             // the channel state was torn down; treat as a lost reply.
             Err(RecvTimeoutError::Disconnected) => {
-                self.unregister(id);
+                self.unregister(id, false);
                 Err(MuxError::Lost(TransportError::Closed))
             }
         }
     }
 
-    /// Routes one reply frame to its waiter (reader thread only).
-    fn deliver(&self, id: u64, frame: Bytes) {
-        let slot = self.pending.lock().waiters.remove(&id);
+    /// Routes one reply frame to its waiter (reader thread only). Returns
+    /// false when the id matches neither a waiter nor a timed-out request.
+    fn deliver(&self, id: u64, frame: Bytes) -> bool {
+        let slot = {
+            let mut st = self.pending.lock();
+            let slot = st.waiters.remove(&id);
+            if slot.is_none() {
+                let Some(i) = st.timed_out.iter().position(|&t| t == id) else {
+                    return false;
+                };
+                st.timed_out.remove(i);
+            }
+            slot
+        };
         match slot {
             Some(w) => {
                 let now = self.in_flight.fetch_sub(1, Ordering::Relaxed) - 1;
                 ohpc_telemetry::gauge("mux_in_flight", &[]).set(now);
+                // The fabric's own recv event fired on this reader thread,
+                // outside any trace; the reply's hop is recorded here, in
+                // the trace of the caller it belongs to.
                 if let Some(ctx) = &w.trace {
                     let _t = ohpc_telemetry::install(ctx.clone());
                     ohpc_telemetry::trace_event(
-                        "mux_demux_recv",
+                        "transport_recv",
                         &[("bytes", &frame.len().to_string())],
                     );
                 }
@@ -293,6 +335,7 @@ impl MuxChannel {
                 ohpc_telemetry::inc("mux_orphan_replies_total", &[]);
             }
         }
+        true
     }
 
     /// Marks the channel dead and fails every in-flight waiter. Idempotent;
@@ -323,25 +366,22 @@ fn reader_loop(
     correlator: Correlator,
     on_death: Option<DeathHook>,
 ) {
-    loop {
+    let cause = loop {
         match rx.recv() {
-            Ok(frame) => match correlator(&frame) {
-                Some(id) => chan.deliver(id, frame),
-                None => {
-                    ohpc_telemetry::inc("mux_orphan_replies_total", &[]);
+            Ok(frame) => {
+                if !correlator(&frame).is_some_and(|id| chan.deliver(id, frame)) {
+                    break TransportError::Io("unroutable reply frame".into());
                 }
-            },
-            Err(e) => {
-                let deliberate = chan.closing.load(Ordering::Acquire);
-                chan.die(e.clone());
-                if !deliberate {
-                    ohpc_telemetry::inc("mux_reader_deaths_total", &[]);
-                    if let Some(hook) = &on_death {
-                        hook(&e);
-                    }
-                }
-                return;
             }
+            Err(e) => break e,
+        }
+    };
+    let deliberate = chan.closing.load(Ordering::Acquire);
+    chan.die(cause.clone());
+    if !deliberate {
+        ohpc_telemetry::inc("mux_reader_deaths_total", &[]);
+        if let Some(hook) = &on_death {
+            hook(&cause);
         }
     }
 }
@@ -393,13 +433,16 @@ mod tests {
 
     /// Spawns a mux over an echo "server" thread that reverses bodies and,
     /// crucially, replies in reverse order of arrival once `batch` frames
-    /// are queued — exercising out-of-order demux.
-    fn echo_mux(batch: usize) -> Arc<MuxChannel> {
+    /// are queued — exercising out-of-order demux. The returned receiver
+    /// yields one signal per request frame the server has received.
+    fn echo_mux(batch: usize) -> (Arc<MuxChannel>, Receiver<()>) {
         let (req_tx, req_rx) = unbounded::<Bytes>();
         let (rep_tx, rep_rx) = unbounded::<Bytes>();
+        let (arrived_tx, arrived_rx) = unbounded::<()>();
         std::thread::spawn(move || {
             let mut queued: Vec<Bytes> = Vec::new();
             while let Ok(f) = req_rx.recv() {
+                let _ = arrived_tx.send(());
                 queued.push(f);
                 if queued.len() >= batch {
                     for f in queued.drain(..).rev() {
@@ -414,17 +457,18 @@ mod tests {
                 }
             }
         });
-        MuxChannel::spawn(
+        let mux = MuxChannel::spawn(
             Box::new(TestSend { tx: Some(req_tx) }),
             Box::new(TestRecv { rx: rep_rx }),
             Box::new(id_of),
             None,
-        )
+        );
+        (mux, arrived_rx)
     }
 
     #[test]
     fn out_of_order_replies_route_to_the_right_callers() {
-        let mux = echo_mux(4);
+        let (mux, _) = echo_mux(4);
         let handles: Vec<_> = (0..4u64)
             .map(|i| {
                 let mux = mux.clone();
@@ -490,7 +534,7 @@ mod tests {
 
     #[test]
     fn duplicate_in_flight_id_is_rejected() {
-        let mux = echo_mux(usize::MAX); // server never replies
+        let (mux, _) = echo_mux(usize::MAX); // server never replies
         let m2 = mux.clone();
         let h = std::thread::spawn(move || m2.call(7, &frame(7, b"a"), Some(Duration::from_millis(300))));
         // Wait until the first call is registered.
@@ -506,7 +550,7 @@ mod tests {
 
     #[test]
     fn timeout_is_lost_and_late_reply_is_orphaned() {
-        let mux = echo_mux(2); // server replies only after TWO frames arrive
+        let (mux, _) = echo_mux(2); // server replies only after TWO frames arrive
         let err = mux
             .call(1, &frame(1, b"slow"), Some(Duration::from_millis(30)))
             .unwrap_err();
@@ -521,16 +565,66 @@ mod tests {
 
     #[test]
     fn shutdown_fails_in_flight_and_subsequent_calls() {
-        let mux = echo_mux(usize::MAX);
+        let (mux, arrived) = echo_mux(usize::MAX);
         let m2 = mux.clone();
         let h = std::thread::spawn(move || m2.call(1, &frame(1, b"x"), None));
-        while mux.in_flight() == 0 {
-            std::thread::yield_now();
-        }
+        // Shut down only once the frame is on the wire: before the send the
+        // call would correctly fail as Unsent instead.
+        arrived.recv().unwrap();
         mux.shutdown();
         assert!(matches!(h.join().unwrap(), Err(MuxError::Lost(_))));
         assert!(mux.is_dead());
         assert!(matches!(mux.send_only(&frame(2, b"y")), Err(MuxError::Unsent(_))));
         mux.shutdown(); // idempotent
+    }
+
+    #[test]
+    fn never_issued_reply_id_fails_every_waiter() {
+        // "Server" that answers the third request with an id nobody issued,
+        // as a corrupted reply would carry.
+        let (req_tx, req_rx) = unbounded::<Bytes>();
+        let (rep_tx, rep_rx) = unbounded::<Bytes>();
+        let deaths = Arc::new(AtomicI64::new(0));
+        let d2 = deaths.clone();
+        let server = std::thread::spawn(move || {
+            for _ in 0..3 {
+                let _ = req_rx.recv();
+            }
+            rep_tx.send(Bytes::from(frame(999, b"stray"))).unwrap();
+            // Keep the connection open: only the stray reply may end it.
+            let _ = req_rx.recv();
+        });
+        let mux = MuxChannel::spawn(
+            Box::new(TestSend { tx: Some(req_tx) }),
+            Box::new(TestRecv { rx: rep_rx }),
+            Box::new(id_of),
+            Some(Box::new(move |_e| {
+                d2.fetch_add(1, Ordering::Relaxed);
+            })),
+        );
+        // The deadline only bounds a regression; the stray reply must fail
+        // every waiter long before it.
+        let handles: Vec<_> = (0..3u64)
+            .map(|i| {
+                let mux = mux.clone();
+                std::thread::spawn(move || {
+                    mux.call(i, &frame(i, b"x"), Some(Duration::from_secs(10)))
+                })
+            })
+            .collect();
+        for h in handles {
+            let err = h.join().unwrap().unwrap_err();
+            assert!(matches!(err, MuxError::Lost(TransportError::Io(_))), "{err}");
+        }
+        assert!(mux.is_dead());
+        for _ in 0..200 {
+            if deaths.load(Ordering::Relaxed) == 1 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(deaths.load(Ordering::Relaxed), 1, "death hook fired once");
+        mux.shutdown();
+        server.join().unwrap();
     }
 }

@@ -18,7 +18,9 @@ use parking_lot::Mutex;
 
 use ohpc_netsim::{MachineId, SimNet};
 
-use crate::{telem, Connection, Dialer, Endpoint, Listener, TransportError, MAX_FRAME};
+use crate::{
+    telem, Connection, Dialer, Endpoint, Listener, RecvHalf, SendHalf, TransportError, MAX_FRAME,
+};
 
 /// Per-frame protocol envelope charged to the wire in addition to payload
 /// bytes (IP + TCP header class of overhead).
@@ -100,20 +102,12 @@ impl SimFabric {
         let remote = MachineId(to_machine);
         let (a_tx, b_rx) = unbounded();
         let (b_tx, a_rx) = unbounded();
-        let client = SimConnection {
-            net: self.net.clone(),
-            local: from,
-            remote,
-            tx: a_tx,
-            rx: a_rx,
+        let side = |local, remote, tx, rx| SimConnection {
+            send: SimSendHalf { net: self.net.clone(), local, remote, tx: Some(tx) },
+            recv: SimRecvHalf { rx },
         };
-        let server = SimConnection {
-            net: self.net.clone(),
-            local: remote,
-            remote: from,
-            tx: b_tx,
-            rx: b_rx,
-        };
+        let client = side(from, remote, a_tx, a_rx);
+        let server = side(remote, from, b_tx, b_rx);
         pending_tx
             .send(server)
             .map_err(|_| TransportError::ConnectionRefused(format!("sim://M{to_machine}:{port}")))?;
@@ -143,37 +137,70 @@ impl Dialer for SimDialer {
     }
 }
 
-/// One side of a simulated connection.
+/// One side of a simulated connection: a pair of halves, so splitting it
+/// changes nothing about how frames are charged.
 pub struct SimConnection {
-    net: SimNet,
-    local: MachineId,
-    remote: MachineId,
-    tx: Sender<Bytes>,
-    rx: Receiver<Bytes>,
+    send: SimSendHalf,
+    recv: SimRecvHalf,
 }
 
 impl Connection for SimConnection {
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        let r = if frame.len() > MAX_FRAME {
-            Err(TransportError::FrameTooLarge(frame.len()))
-        } else {
+        self.send.send(frame)
+    }
+
+    fn recv(&mut self) -> Result<Bytes, TransportError> {
+        self.recv.recv()
+    }
+
+    fn split(self: Box<Self>) -> (Box<dyn SendHalf>, Box<dyn RecvHalf>) {
+        (Box::new(self.send), Box::new(self.recv))
+    }
+}
+
+/// Sending half of a [`SimConnection`]: every frame is charged to virtual
+/// time on its link before it is delivered.
+pub struct SimSendHalf {
+    net: SimNet,
+    local: MachineId,
+    remote: MachineId,
+    tx: Option<Sender<Bytes>>,
+}
+
+impl SendHalf for SimSendHalf {
+    fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
+        let r = match &self.tx {
+            None => Err(TransportError::Closed),
+            Some(_) if frame.len() > MAX_FRAME => Err(TransportError::FrameTooLarge(frame.len())),
             // Charge the wire before delivery: the receiver cannot see the
             // frame earlier than its simulated arrival because the sender only
             // enqueues it after advancing the clock. A partitioned link or
             // crashed peer fails here, *before* the frame is enqueued — the
             // receiver never observes a frame the simulated wire dropped.
-            match self.net.try_transfer(self.local, self.remote, frame.len() + FRAME_WIRE_OVERHEAD)
-            {
-                Ok(_) => self
-                    .tx
-                    .send(Bytes::copy_from_slice(frame))
-                    .map_err(|_| TransportError::Closed),
+            Some(tx) => match self.net.try_transfer(
+                self.local,
+                self.remote,
+                frame.len() + FRAME_WIRE_OVERHEAD,
+            ) {
+                Ok(_) => tx.send(Bytes::copy_from_slice(frame)).map_err(|_| TransportError::Closed),
                 Err(fault) => Err(TransportError::Io(format!("timed out: {fault}"))),
-            }
+            },
         };
         telem::track_send("sim", frame.len(), r)
     }
 
+    /// Drops the sender, so the peer's `recv` sees `Closed`.
+    fn close(&mut self) {
+        self.tx = None;
+    }
+}
+
+/// Receiving half of a [`SimConnection`].
+pub struct SimRecvHalf {
+    rx: Receiver<Bytes>,
+}
+
+impl RecvHalf for SimRecvHalf {
     fn recv(&mut self) -> Result<Bytes, TransportError> {
         telem::track_recv("sim", self.rx.recv().map_err(|_| TransportError::Closed))
     }
@@ -354,5 +381,35 @@ mod tests {
         c.recv().unwrap();
         let t_end = fabric.net().clock().now();
         assert!(t_end > t_mid, "reply transfer must consume virtual time");
+    }
+
+    #[test]
+    fn split_halves_charge_both_directions_fail_on_partition_and_close() {
+        let (fabric, [m0, _, _, m3]) = fabric();
+        let mut listener = fabric.listen(m3);
+        let ep = listener.endpoint();
+        let (mut c_tx, mut c_rx) = fabric.dialer(m0).dial(&ep).unwrap().split();
+        let (mut s_tx, mut s_rx) = listener.accept().unwrap().split();
+
+        let t0 = fabric.net().clock().now();
+        c_tx.send(b"req").unwrap();
+        assert_eq!(&s_rx.recv().unwrap()[..], b"req");
+        let t_mid = fabric.net().clock().now();
+        assert!(t_mid > t0, "request transfer must consume virtual time");
+        s_tx.send(&vec![9u8; 125_000]).unwrap();
+        assert_eq!(c_rx.recv().unwrap().len(), 125_000);
+        assert!(fabric.net().clock().now() > t_mid, "reply transfer must consume virtual time");
+
+        fabric.net().partition(m0, m3);
+        let err = s_tx.send(b"reply").unwrap_err();
+        assert!(
+            matches!(&err, TransportError::Io(m) if m.contains("timed out")),
+            "partition must look like a timeout, got {err:?}"
+        );
+        fabric.net().heal(m0, m3);
+
+        s_tx.close();
+        assert_eq!(c_rx.recv().unwrap_err(), TransportError::Closed);
+        assert_eq!(s_tx.send(b"late").unwrap_err(), TransportError::Closed);
     }
 }

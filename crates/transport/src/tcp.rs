@@ -13,7 +13,7 @@ use crate::{
 };
 
 /// Writes one length-prefixed frame to `stream`.
-fn write_frame(stream: &mut TcpStream, frame: &[u8]) -> Result<(), TransportError> {
+fn write_frame(mut stream: &TcpStream, frame: &[u8]) -> Result<(), TransportError> {
     if frame.len() > MAX_FRAME {
         return Err(TransportError::FrameTooLarge(frame.len()));
     }
@@ -24,7 +24,7 @@ fn write_frame(stream: &mut TcpStream, frame: &[u8]) -> Result<(), TransportErro
 }
 
 /// Reads one length-prefixed frame from `stream`.
-fn read_frame(stream: &mut TcpStream) -> Result<Bytes, TransportError> {
+fn read_frame(mut stream: &TcpStream) -> Result<Bytes, TransportError> {
     let mut len_buf = [0u8; 4];
     stream.read_exact(&mut len_buf)?;
     let len = u32::from_be_bytes(len_buf) as usize;
@@ -50,22 +50,20 @@ impl TcpConnection {
 
 impl Connection for TcpConnection {
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        let r = write_frame(&mut self.stream, frame);
+        let r = write_frame(&self.stream, frame);
         telem::track_send("tcp", frame.len(), r)
     }
 
     fn recv(&mut self) -> Result<Bytes, TransportError> {
-        let r = read_frame(&mut self.stream);
+        let r = read_frame(&self.stream);
         telem::track_recv("tcp", r)
     }
 
-    /// TCP splits by duplicating the socket handle (`try_clone`): reads and
-    /// writes on the clones hit the same connection, so a reader thread can
-    /// block in `recv` while senders interleave framed writes.
-    fn try_split(&mut self) -> Option<(Box<dyn SendHalf>, Box<dyn RecvHalf>)> {
-        let send = self.stream.try_clone().ok()?;
-        let recv = self.stream.try_clone().ok()?;
-        Some((Box::new(TcpSendHalf { stream: send }), Box::new(TcpRecvHalf { stream: recv })))
+    /// TCP splits by sharing the socket: `&TcpStream` reads and writes, so a
+    /// reader thread can block in `recv` while senders write whole frames.
+    fn split(self: Box<Self>) -> (Box<dyn SendHalf>, Box<dyn RecvHalf>) {
+        let stream = Arc::new(self.stream);
+        (Box::new(TcpSendHalf { stream: stream.clone() }), Box::new(TcpRecvHalf { stream }))
     }
 
     fn set_recv_timeout(&mut self, timeout: Option<Duration>) -> bool {
@@ -75,12 +73,12 @@ impl Connection for TcpConnection {
 
 /// Sending half of a split [`TcpConnection`].
 pub struct TcpSendHalf {
-    stream: TcpStream,
+    stream: Arc<TcpStream>,
 }
 
 impl SendHalf for TcpSendHalf {
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        let r = write_frame(&mut self.stream, frame);
+        let r = write_frame(&self.stream, frame);
         telem::track_send("tcp", frame.len(), r)
     }
 
@@ -93,12 +91,12 @@ impl SendHalf for TcpSendHalf {
 
 /// Receiving half of a split [`TcpConnection`].
 pub struct TcpRecvHalf {
-    stream: TcpStream,
+    stream: Arc<TcpStream>,
 }
 
 impl RecvHalf for TcpRecvHalf {
     fn recv(&mut self) -> Result<Bytes, TransportError> {
-        let r = read_frame(&mut self.stream);
+        let r = read_frame(&self.stream);
         telem::track_recv("tcp", r)
     }
 }
@@ -263,9 +261,7 @@ mod tests {
         let mut acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
         let ep = acceptor.endpoint();
         let h = std::thread::spawn(move || {
-            let mut c = TcpDialer.dial(&ep).unwrap();
-            let (mut tx, mut rx) = c.try_split().expect("tcp must split");
-            drop(c);
+            let (mut tx, mut rx) = TcpDialer.dial(&ep).unwrap().split();
             tx.send(b"via half").unwrap();
             let echoed = rx.recv().unwrap();
             // Reader parked in recv; closing the send half unblocks it.

@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 
-use crate::{Connection, Dialer, Endpoint, TransportError};
+use crate::{Connection, Dialer, Endpoint, RecvHalf, SendHalf, TransportError};
 
 /// Cap on remembered fault→trace attributions, so a long chaos run cannot
 /// grow the list without bound. The interesting faults in a failing test are
@@ -198,6 +198,33 @@ impl FaultPlan {
         buf[idx] ^= 0x40;
         Bytes::from(buf)
     }
+
+    /// A send, unless the schedule fails it first (the frame never leaves).
+    fn send_through(
+        &self,
+        send: impl FnOnce() -> Result<(), TransportError>,
+    ) -> Result<(), TransportError> {
+        if self.should_fail(FaultKind::Send) {
+            return Err(TransportError::Closed);
+        }
+        send()
+    }
+
+    /// Applies the schedule to a frame that has arrived: a recv fault
+    /// consumes it and reports `Closed`; otherwise it may be corrupted.
+    /// Deciding on arrival, not when the reader starts waiting, keeps a
+    /// reader thread parked in `recv` from consuming schedule positions
+    /// before the request it awaits is even sent.
+    fn recv_through(
+        &self,
+        arrived: Result<Bytes, TransportError>,
+    ) -> Result<Bytes, TransportError> {
+        let frame = arrived?;
+        if self.should_fail(FaultKind::Recv) {
+            return Err(TransportError::Closed);
+        }
+        Ok(self.maybe_corrupt(frame))
+    }
 }
 
 /// A dialer whose connections fail according to a [`FaultPlan`].
@@ -232,18 +259,46 @@ struct FlakyConnection {
 
 impl Connection for FlakyConnection {
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        if self.plan.should_fail(FaultKind::Send) {
-            return Err(TransportError::Closed);
-        }
-        self.inner.send(frame)
+        self.plan.send_through(|| self.inner.send(frame))
     }
 
     fn recv(&mut self) -> Result<Bytes, TransportError> {
-        if self.plan.should_fail(FaultKind::Recv) {
-            return Err(TransportError::Closed);
-        }
-        let frame = self.inner.recv()?;
-        Ok(self.plan.maybe_corrupt(frame))
+        self.plan.recv_through(self.inner.recv())
+    }
+
+    /// Both halves inject faults from the same plan as the whole connection.
+    fn split(self: Box<Self>) -> (Box<dyn SendHalf>, Box<dyn RecvHalf>) {
+        let (tx, rx) = self.inner.split();
+        (
+            Box::new(FlakySendHalf { inner: tx, plan: self.plan.clone() }),
+            Box::new(FlakyRecvHalf { inner: rx, plan: self.plan }),
+        )
+    }
+}
+
+struct FlakySendHalf {
+    inner: Box<dyn SendHalf>,
+    plan: Arc<FaultPlan>,
+}
+
+impl SendHalf for FlakySendHalf {
+    fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
+        self.plan.send_through(|| self.inner.send(frame))
+    }
+
+    fn close(&mut self) {
+        self.inner.close();
+    }
+}
+
+struct FlakyRecvHalf {
+    inner: Box<dyn RecvHalf>,
+    plan: Arc<FaultPlan>,
+}
+
+impl RecvHalf for FlakyRecvHalf {
+    fn recv(&mut self) -> Result<Bytes, TransportError> {
+        self.plan.recv_through(self.inner.recv())
     }
 }
 
@@ -304,10 +359,27 @@ mod tests {
         let ok_plan = FaultPlan::every(2); // dial ok, send FAIL, recv ok…
         let dialer = FlakyDialer::new(Arc::new(fabric), ok_plan.clone());
         let mut conn = dialer.dial(&ep).unwrap();
-        let _server = listener.accept().unwrap();
+        let mut server = listener.accept().unwrap();
         assert!(conn.send(b"x").is_err());
         assert_eq!(ok_plan.injected_of(FaultKind::Send), 1);
         assert_eq!(ok_plan.injected_of(FaultKind::Recv), 0);
+
+        // The split halves keep drawing from the same schedule: op 3 sends,
+        // op 4 fails its send, op 5 receives, op 6 fails its receive.
+        let (mut tx, mut rx) = conn.split();
+        tx.send(b"y").unwrap();
+        assert_eq!(tx.send(b"z").unwrap_err(), TransportError::Closed);
+        assert_eq!(&server.recv().unwrap()[..], b"y", "the failed send never left");
+        server.send(b"a").unwrap();
+        server.send(b"b").unwrap();
+        assert_eq!(&rx.recv().unwrap()[..], b"a");
+        // A recv fault is decided on arrival: it consumes the frame.
+        assert_eq!(rx.recv().unwrap_err(), TransportError::Closed);
+        assert_eq!(ok_plan.injected_of(FaultKind::Send), 2);
+        assert_eq!(ok_plan.injected_of(FaultKind::Recv), 1);
+        assert_eq!(ok_plan.operations(), 6);
+        server.send(b"c").unwrap();
+        assert_eq!(&rx.recv().unwrap()[..], b"c", "frame b was consumed by the fault");
     }
 
     #[test]

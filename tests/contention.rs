@@ -148,9 +148,9 @@ mod mux_stress {
     use std::time::Duration;
 
     use bytes::Bytes;
-    use ohpc_bench::mux_contention::{client_counts_from_env, run_contention};
+    use ohpc_bench::mux_contention::{client_counts_from_env, run_contention, Wire};
     use ohpc_orb::{
-        ApplicabilityRule, ObjectId, OrbError, PoolMode, ProtoEntry, ProtoObject, ProtoPool,
+        ApplicabilityRule, ObjectId, OrbError, ProtoEntry, ProtoObject, ProtoPool,
         ProtocolId, ReplyMessage, RequestId, RequestMessage, TransportProto,
     };
     use ohpc_resilience::{HealthKey, HealthRegistry};
@@ -177,20 +177,12 @@ mod mux_stress {
     fn concurrent_clients_route_replies_correctly() {
         for clients in client_counts_from_env() {
             let sample =
-                run_contention(PoolMode::Auto, clients, 20, Duration::from_micros(200));
+                run_contention(Wire::Multiplexed, clients, 20, Duration::from_micros(200));
             assert!(
                 sample.throughput_rps > 0.0,
                 "no throughput at {clients} clients"
             );
         }
-    }
-
-    /// The serialized baseline still routes correctly — the striped path is
-    /// the fallback for non-interleavable transports and must not rot.
-    #[test]
-    fn striped_fallback_routes_replies_correctly() {
-        let sample = run_contention(PoolMode::Striped(2), 4, 10, Duration::from_micros(200));
-        assert!(sample.throughput_rps > 0.0);
     }
 
     /// With the server busy 1 ms per request, 8 clients pipelining into one
@@ -200,8 +192,8 @@ mod mux_stress {
     #[test]
     fn mux_outruns_the_serialized_wire() {
         let delay = Duration::from_millis(1);
-        let mux = run_contention(PoolMode::Auto, 8, 25, delay);
-        let serialized = run_contention(PoolMode::Striped(1), 8, 25, delay);
+        let mux = run_contention(Wire::Multiplexed, 8, 25, delay);
+        let serialized = run_contention(Wire::Serialized, 8, 25, delay);
         let speedup = mux.throughput_rps / serialized.throughput_rps.max(f64::MIN_POSITIVE);
         assert!(
             speedup >= 2.0,
@@ -238,8 +230,7 @@ mod mux_stress {
         });
 
         let proto = Arc::new(
-            TransportProto::new(ProtocolId::TCP, ApplicabilityRule::Always, Arc::new(fabric))
-                .with_pool_mode(PoolMode::Auto),
+            TransportProto::new(ProtocolId::TCP, ApplicabilityRule::Always, Arc::new(fabric)),
         );
         // Wired only into the proto (no GlobalPointer in this test), so any
         // recorded failure provably came from the mux death hook.

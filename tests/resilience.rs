@@ -20,13 +20,14 @@ use ohpc_orb::context::OrRow;
 use ohpc_orb::selection::health_key;
 use ohpc_orb::{
     ApplicabilityRule, CapabilityRegistry, Context, ContextId, GlobalPointer, GlueProto,
-    ObjectReference, ProtoPool, ProtocolId, TransportProto,
+    MethodError, ObjectReference, OrbError, ProtoPool, ProtocolId, RemoteObject, TransportProto,
 };
 use ohpc_resilience::{BreakerState, HealthRegistry, NoopSleeper};
 use ohpc_telemetry::{ManualClock, Registry};
 use ohpc_transport::mem::MemFabric;
 use ohpc_transport::sim::SimFabric;
 use ohpc_transport::testing::{FaultPlan, FlakyDialer};
+use ohpc_xdr::{XdrReader, XdrWriter};
 
 const KEY: &str = "k";
 
@@ -218,6 +219,66 @@ fn failover_preserves_capability_chain_symmetry() {
 
     w.ctx_a.shutdown();
     w.ctx_b.shutdown();
+}
+
+/// A service that partitions the link back to its caller while it is being
+/// dispatched, so the request arrives but the server's reply send fails.
+struct PartitionsOnCall {
+    net: SimNet,
+    link: (MachineId, MachineId),
+}
+
+impl RemoteObject for PartitionsOnCall {
+    fn type_name(&self) -> &str {
+        "PartitionsOnCall"
+    }
+
+    fn dispatch(
+        &self,
+        _method: u32,
+        _args: &mut XdrReader<'_>,
+        _out: &mut XdrWriter,
+    ) -> Result<(), MethodError> {
+        self.net.partition(self.link.0, self.link.1);
+        Ok(())
+    }
+}
+
+#[test]
+fn partition_mid_dispatch_is_ambiguous_not_a_hang() {
+    let (mut mc, mut ms) = (MachineId(0), MachineId(0));
+    let cluster = Cluster::builder()
+        .lan(LanId(0), LinkProfile::atm_155())
+        .machine("client", LanId(0), &mut mc)
+        .machine("server", LanId(0), &mut ms)
+        .build();
+    let net = SimNet::new(cluster);
+    let fabric = SimFabric::new(net.clone());
+    let ctx = Context::new(ContextId(8), net.cluster().location_of(ms), registry());
+    let object = ctx.register(Arc::new(PartitionsOnCall { net: net.clone(), link: (mc, ms) }));
+    ctx.serve(Box::new(fabric.listen(ms)), ProtocolId::TCP);
+    let or = ctx.make_or(object, &[OrRow::Plain(ProtocolId::TCP)]).unwrap();
+    let pool = Arc::new(ProtoPool::new().with(Arc::new(TransportProto::new(
+        ProtocolId::TCP,
+        ApplicabilityRule::Always,
+        Arc::new(fabric.dialer(mc)),
+    ))));
+    let gp = GlobalPointer::new(or, pool, net.cluster().location_of(mc));
+    gp.set_sleeper(Arc::new(NoopSleeper));
+
+    // No deadline: only the server giving up on the connection can end the
+    // wait. The bounded receive here is the "no hang" assertion.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(gp.invoke(1, &XdrWriter::new())));
+    let outcome = rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("a client without a deadline hung after its reply was lost");
+    assert!(
+        matches!(outcome, Err(OrbError::AmbiguousTransport(_))),
+        "the request ran but its reply was lost: {outcome:?}"
+    );
+    assert_eq!(ctx.requests_served(), 1);
+    ctx.shutdown();
 }
 
 // ---------------------------------------------------------------------------
