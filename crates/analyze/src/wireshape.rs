@@ -13,6 +13,14 @@
 //! * **loops** — `for`/`while`/`loop` bodies collapse to counted repetition
 //!   ([`Op::Repeat`]): XDR arrays are `length . element*`, so per-iteration
 //!   shape is what matters, not the trip count;
+//! * **bulk word runs** — `put_words(items, i32::to_be_bytes)` /
+//!   `get_words(n, i32::from_be_bytes)` write or read the same bytes as a
+//!   per-element `put_i32`/`get_i32` loop, so they become that loop's
+//!   `Repeat(i32)`, the element primitive named by the numeric type in the
+//!   conversion argument (unknown, i.e. `Repeat(nested codec)`, when no
+//!   numeric type is named). A bulk encoder therefore pairs with either a
+//!   bulk or a looping decoder of the same width, and a width mismatch
+//!   between the two sides is a diff like any other;
 //! * **branches** — a `match` keyed on a `get_u32` discriminant (decode) or
 //!   on `self` (encode) becomes [`Op::Branch`] with per-arm tag literals,
 //!   covered variant names, and the arm's own op sequence. An encode whose
@@ -198,8 +206,26 @@ const READER_OPS: &[(&str, Prim)] = &[
     ("get_bool", Prim::Bool),
     ("get_string", Prim::Str),
     ("get_opaque", Prim::Bytes),
+    // Same wire read as `get_opaque`; only the ownership of the result
+    // differs (it may share the source frame).
+    ("get_opaque_bytes", Prim::Bytes),
     ("get_fixed_opaque", Prim::FixedBytes),
     ("get_array_len", Prim::ArrayLen),
+];
+
+/// Bulk word-run calls: (writer, reader).
+const WORDS_PUT: &str = "put_words";
+const WORDS_GET: &str = "get_words";
+
+/// Numeric types a word-run conversion fn can name (`i32::to_be_bytes`),
+/// with the per-element primitive the run stands for.
+const WORD_ELEMS: &[(&str, Prim)] = &[
+    ("i32", Prim::I32),
+    ("u32", Prim::U32),
+    ("i64", Prim::I64),
+    ("u64", Prim::U64),
+    ("f32", Prim::F32),
+    ("f64", Prim::F64),
 ];
 
 const TRAILING_EXT_PUT: &str = "put_trailing_extension";
@@ -624,6 +650,17 @@ impl<'a> Interp<'a> {
                     j = f.close_of.get(&(j + 1)).copied().unwrap_or(j + 1) + 1;
                     continue;
                 }
+                let words = if mode == Mode::Encode { WORDS_PUT } else { WORDS_GET };
+                if t.is_ident(words) {
+                    let close = f.close_of.get(&(j + 1)).copied().unwrap_or(j + 1);
+                    let elem = toks[j + 2..close]
+                        .iter()
+                        .find_map(|a| WORD_ELEMS.iter().find(|(n, _)| a.is_ident(n)))
+                        .map_or(Op::Nested(Vec::new(), t.line), |&(_, p)| Op::Prim(p, None, t.line));
+                    out.push(Op::Repeat(vec![elem], t.line));
+                    j = close + 1;
+                    continue;
+                }
                 let trailing = if mode == Mode::Encode { TRAILING_EXT_PUT } else { TRAILING_EXT_GET };
                 if t.is_ident(trailing) {
                     let close = f.close_of.get(&(j + 1)).copied().unwrap_or(j + 1);
@@ -969,6 +1006,39 @@ mod tests {
                 Op::Repeat(ref body, _),
             ] if matches!(body[..], [Op::Nested(ref h, _)] if h == &["Meta"])
         ));
+    }
+
+    #[test]
+    fn bulk_word_runs_are_per_element_repeats() {
+        let u = universe_of(
+            r#"
+            impl XdrEncode for Samples {
+                fn encode(&self, w: &mut XdrWriter) {
+                    w.put_array_len(self.v.len());
+                    w.put_words(&self.v, f64::to_be_bytes);
+                }
+            }
+            impl XdrDecode for Samples {
+                fn decode(r: &mut XdrReader<'_>) -> Result<Self, XdrError> {
+                    let n = r.get_array_len()?;
+                    Ok(Self { v: r.get_words(n, f64::from_be_bytes)?, blob: r.get_opaque_bytes()? })
+                }
+            }
+            "#,
+        );
+        let t = &u.types["Samples"];
+        let enc = &t.encode.as_ref().unwrap().ops;
+        assert!(matches!(
+            enc[..],
+            [Op::Prim(Prim::ArrayLen, _, _), Op::Repeat(ref body, _)]
+                if matches!(body[..], [Op::Prim(Prim::F64, _, _)])
+        ), "{enc:?}");
+        let dec = &t.decode.as_ref().unwrap().ops;
+        assert!(matches!(
+            dec[..],
+            [Op::Prim(Prim::ArrayLen, _, _), Op::Repeat(ref body, _), Op::Prim(Prim::Bytes, _, _)]
+                if matches!(body[..], [Op::Prim(Prim::F64, _, _)])
+        ), "{dec:?}");
     }
 
     #[test]

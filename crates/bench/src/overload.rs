@@ -183,7 +183,7 @@ pub fn run_overload(cfg: &OverloadConfig) -> OverloadSample {
                 }
                 .to_frame();
                 send_ns[i].store(t0.elapsed().as_nanos() as u64, Ordering::Release);
-                if tx.send(&frame).is_err() {
+                if tx.send(frame).is_err() {
                     panic!("overload sender: wire closed mid-burst");
                 }
             }

@@ -165,7 +165,7 @@ fn serve_connection(mut conn: Box<dyn Connection>, handlers: Arc<HashMap<u32, Ha
             }
         };
         let _ = status;
-        if wants_reply && conn.send(&reply.finish()).is_err() {
+        if wants_reply && conn.send(reply.finish()).is_err() {
             return;
         }
     }
@@ -220,7 +220,7 @@ impl Startpoint {
         // ohpc-analyze: allow(guard-across-blocking) — the connection mutex
         // is the framing discipline: concurrent startpoint users must not
         // interleave frames on the one wire.
-        self.conn.lock().send(&frame)?;
+        self.conn.lock().send(frame)?;
         Ok(())
     }
 
@@ -251,7 +251,7 @@ impl Startpoint {
         // replies.
         let mut conn = self.conn.lock();
         conn.set_recv_timeout(deadline);
-        conn.send(&frame)?;
+        conn.send(frame)?;
         let reply = conn.recv()?;
         drop(conn);
 
@@ -270,7 +270,7 @@ impl Startpoint {
                 let body = r
                     .get_fixed_opaque(body_len)
                     .map_err(|e| NexusError::Protocol(e.to_string()))?;
-                Ok(Bytes::copy_from_slice(body))
+                Ok(reply.slice_ref(body))
             }
             TAG_REPLY_ERR => {
                 let msg = r.get_string().map_err(|e| NexusError::Protocol(e.to_string()))?;

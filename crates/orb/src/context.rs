@@ -331,7 +331,7 @@ impl Context {
         svc.register(NEXUS_ORB_HANDLER, move |args, out| {
             let n = args.remaining();
             let frame = args.get_fixed_opaque(n).map_err(|e| e.to_string())?;
-            let reply = ctx.handle_frame(frame);
+            let reply = ctx.handle_frame(&Bytes::copy_from_slice(frame));
             out.put_fixed_opaque(&reply);
             Ok(())
         });
@@ -415,7 +415,7 @@ impl Context {
                         crate::ids::RequestId(0),
                         ReplyStatus::Exception(format!("malformed request: {e}")),
                     );
-                    if !send_reply(&writer, &reply.to_frame()) {
+                    if !send_reply(&writer, reply.to_frame()) {
                         return;
                     }
                     continue;
@@ -436,7 +436,7 @@ impl Context {
                     // gracefully degrading means rejections stay fast when
                     // the pool is the thing that is saturated.
                     let reply = ReplyMessage::status(rid, status).to_frame();
-                    if !send_reply(&writer, &reply) {
+                    if !send_reply(&writer, reply) {
                         return;
                     }
                     continue;
@@ -459,7 +459,7 @@ impl Context {
             executor.execute(Box::new(move || {
                 lane.wait_for(mark);
                 let reply = ctx.dispatch_admitted(req, permit).to_frame();
-                send_reply(&writer, &reply);
+                send_reply(&writer, reply);
             }));
         }
     }
@@ -528,7 +528,7 @@ impl Context {
     /// dispatches (see [`handle_request`](Self::handle_request)). One-way
     /// requests still produce an encoded (dropped-by-the-caller) reply;
     /// use [`handle_frame_opt`](Self::handle_frame_opt) on serving paths.
-    pub fn handle_frame(&self, frame: &[u8]) -> Bytes {
+    pub fn handle_frame(&self, frame: &Bytes) -> Bytes {
         self.handle_frame_opt(frame).unwrap_or_else(|| {
             ReplyMessage::status(crate::ids::RequestId(0), ReplyStatus::Ok).to_frame()
         })
@@ -537,7 +537,7 @@ impl Context {
     /// Like [`handle_frame`](Self::handle_frame) but returns `None` for
     /// one-way requests (which are dispatched — or shed — and produce no
     /// reply frame).
-    pub fn handle_frame_opt(&self, frame: &[u8]) -> Option<Bytes> {
+    pub fn handle_frame_opt(&self, frame: &Bytes) -> Option<Bytes> {
         let req = match RequestMessage::from_frame(frame) {
             Ok(r) => r,
             Err(e) => {
@@ -782,8 +782,9 @@ impl Drop for ContextInner {
 /// Sends one reply frame. A failed send closes the writer, so the client's
 /// mux sees the connection end and fails its waiters instead of waiting
 /// forever for a reply that never left (a sim partition between request and
-/// reply does exactly that). Returns whether the reply was sent.
-fn send_reply(writer: &Mutex<Box<dyn SendHalf>>, reply: &[u8]) -> bool {
+/// reply does exactly that). Returns whether the reply was sent. The frame
+/// is handed to the fabric as is, without a copy.
+fn send_reply(writer: &Mutex<Box<dyn SendHalf>>, reply: Bytes) -> bool {
     // ohpc-analyze: allow(guard-across-blocking) — the writer mutex
     // serializes replies from the executor tasks; one frame per guard is the
     // design.
@@ -909,7 +910,7 @@ mod tests {
     #[test]
     fn malformed_frame_still_replies() {
         let ctx = ctx();
-        let reply_frame = ctx.handle_frame(&[1, 2, 3]);
+        let reply_frame = ctx.handle_frame(&Bytes::from_static(&[1, 2, 3]));
         let reply = ReplyMessage::from_frame(&reply_frame).unwrap();
         assert!(matches!(reply.status, ReplyStatus::Exception(_)));
     }

@@ -5,6 +5,11 @@
 //! id and each capability's per-direction metadata (nonce, MAC, auth token,
 //! request counter, …) so the receiving glue class can run the inverse
 //! transforms.
+//!
+//! Decoding a received frame with `from_frame` does not copy the body: the
+//! decoded `body` shares the frame's buffer. Everything else (glue metas,
+//! trace context, forwarded references) is copied out, so a small value
+//! kept after the message is gone never pins a large frame in memory.
 
 use bytes::Bytes;
 
@@ -166,9 +171,10 @@ impl RequestMessage {
         w.finish()
     }
 
-    /// Decodes from a transport frame.
-    pub fn from_frame(frame: &[u8]) -> Result<Self, XdrError> {
-        ohpc_xdr::decode_from_slice(frame).inspect_err(|_| {
+    /// Decodes from a received transport frame. The decoded `body` shares
+    /// `frame`'s buffer rather than copying it.
+    pub fn from_frame(frame: &Bytes) -> Result<Self, XdrError> {
+        ohpc_xdr::decode_from_bytes(frame).inspect_err(|_| {
             ohpc_telemetry::inc("orb_malformed_frames_total", &[("kind", "request")]);
         })
     }
@@ -195,7 +201,7 @@ impl XdrDecode for RequestMessage {
         let method = r.get_u32()?;
         let oneway = r.get_bool()?;
         let glue = Option::<GlueWire>::decode(r)?;
-        let body = Bytes::copy_from_slice(r.get_opaque()?);
+        let body = r.get_opaque_bytes()?;
         let trace = match r.get_trailing_extension()? {
             // Legacy frame: no extension bytes at all.
             None => None,
@@ -356,9 +362,10 @@ impl ReplyMessage {
         w.finish()
     }
 
-    /// Decodes from a transport frame.
-    pub fn from_frame(frame: &[u8]) -> Result<Self, XdrError> {
-        ohpc_xdr::decode_from_slice(frame).inspect_err(|_| {
+    /// Decodes from a received transport frame. The decoded `body` shares
+    /// `frame`'s buffer rather than copying it.
+    pub fn from_frame(frame: &Bytes) -> Result<Self, XdrError> {
+        ohpc_xdr::decode_from_bytes(frame).inspect_err(|_| {
             ohpc_telemetry::inc("orb_malformed_frames_total", &[("kind", "reply")]);
         })
     }
@@ -379,7 +386,7 @@ impl XdrDecode for ReplyMessage {
             request_id: RequestId::decode(r)?,
             status: ReplyStatus::decode(r)?,
             glue: Option::<GlueWire>::decode(r)?,
-            body: Bytes::copy_from_slice(r.get_opaque()?),
+            body: r.get_opaque_bytes()?,
         })
     }
 }
@@ -495,7 +502,7 @@ mod tests {
         let mut w = XdrWriter::new();
         w.put_trailing_extension(TRACE_EXT_VERSION + 1, b"from-the-future");
         frame.extend_from_slice(&w.finish());
-        let back = RequestMessage::from_frame(&frame).unwrap();
+        let back = RequestMessage::from_frame(&Bytes::from(frame)).unwrap();
         assert_eq!(back, legacy, "unknown extension decodes as no trace");
     }
 
@@ -514,7 +521,7 @@ mod tests {
         let mut w = XdrWriter::new();
         w.put_trailing_extension(TRACE_EXT_VERSION, &[0xFF; 3]);
         frame.extend_from_slice(&w.finish());
-        assert!(RequestMessage::from_frame(&frame).is_err());
+        assert!(RequestMessage::from_frame(&Bytes::from(frame)).is_err());
     }
 
     #[test]
@@ -606,6 +613,47 @@ mod tests {
             trace: None,
         };
         let frame = req.to_frame();
-        assert!(RequestMessage::from_frame(&frame[..frame.len() - 4]).is_err());
+        assert!(RequestMessage::from_frame(&frame.slice(..frame.len() - 4)).is_err());
+    }
+
+    /// True when `inner` lies inside `outer`'s memory.
+    fn points_into(inner: &[u8], outer: &[u8]) -> bool {
+        let (o, i) = (outer.as_ptr() as usize, inner.as_ptr() as usize);
+        i >= o && i + inner.len() <= o + outer.len()
+    }
+
+    #[test]
+    fn decoded_bodies_borrow_the_frame_but_glue_metas_do_not() {
+        let req = RequestMessage {
+            request_id: RequestId(1),
+            object: ObjectId(2),
+            method: 3,
+            oneway: false,
+            glue: Some(GlueWire {
+                glue_id: 9,
+                caps: vec![CapWireMeta { name: "encrypt".into(), meta: Bytes::from_static(b"nonce-12") }],
+            }),
+            body: Bytes::from(vec![0x5Au8; 4096]),
+            trace: None,
+        };
+        let frame = req.to_frame();
+        let back = RequestMessage::from_frame(&frame).unwrap();
+        assert_eq!(back, req);
+        assert!(points_into(&back.body, &frame), "request body shares the frame");
+        let meta = &back.glue.as_ref().unwrap().caps[0].meta;
+        assert!(!points_into(meta, &frame), "a glue meta is copied out of the frame");
+
+        let reply = ReplyMessage {
+            request_id: RequestId(1),
+            status: ReplyStatus::Ok,
+            glue: req.glue.clone(),
+            body: Bytes::from(vec![0xA5u8; 4096]),
+        };
+        let frame = reply.to_frame();
+        let back = ReplyMessage::from_frame(&frame).unwrap();
+        assert_eq!(back, reply);
+        assert!(points_into(&back.body, &frame), "reply body shares the frame");
+        let meta = &back.glue.as_ref().unwrap().caps[0].meta;
+        assert!(!points_into(meta, &frame), "a glue meta is copied out of the frame");
     }
 }

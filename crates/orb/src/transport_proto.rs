@@ -211,7 +211,7 @@ impl TransportProto {
         &self,
         ep: &Endpoint,
         request_id: u64,
-        frame: &[u8],
+        frame: &Bytes,
         remaining_ns: Option<u64>,
     ) -> Result<Bytes, OrbError> {
         for attempt in 0..2 {
@@ -242,7 +242,7 @@ impl TransportProto {
         ep: &Endpoint,
         mux: &Arc<MuxChannel>,
         request_id: u64,
-        frame: &[u8],
+        frame: &Bytes,
         remaining_ns: Option<u64>,
     ) -> Result<Bytes, OrbError> {
         let timeout = remaining_ns.map(Duration::from_nanos);
@@ -555,7 +555,7 @@ mod tests {
                 let mut body = req.body.to_vec();
                 body.reverse();
                 let reply = ReplyMessage::ok(req.request_id, Bytes::from(body));
-                conn.send(&reply.to_frame()).unwrap();
+                conn.send(reply.to_frame()).unwrap();
             }
         });
 

@@ -12,7 +12,9 @@
 //!   through [`ohpc_netsim::SimNet`], reproducing the paper's testbed.
 //!
 //! All connections move whole frames (length ≤ [`MAX_FRAME`]); a frame is the
-//! unit the ORB's request/reply marshaling produces.
+//! unit the ORB's request/reply marshaling produces. Senders hand frames
+//! over as owned [`Bytes`], so an in-process fabric delivers the sender's
+//! buffer itself and never copies a frame.
 
 #![warn(missing_docs)]
 
@@ -206,9 +208,17 @@ impl From<std::io::Error> for TransportError {
 }
 
 /// A bidirectional, frame-oriented connection.
+///
+/// Ownership contract: `send` takes the frame by value. The fabric may keep
+/// the buffer (mem and sim move it into the peer's queue, so the receiver's
+/// `recv` returns the very allocation that was sent) or only read from it
+/// (tcp writes it to the socket). Either way the sender must not expect the
+/// buffer to be copied, and a caller that still needs the frame passes a
+/// clone of the handle, which costs a reference count, not a copy. A frame
+/// that `recv` returns may share its buffer with the sender's.
 pub trait Connection: Send {
-    /// Sends one frame.
-    fn send(&mut self, frame: &[u8]) -> Result<(), TransportError>;
+    /// Sends one frame, taking ownership of it (see the trait docs).
+    fn send(&mut self, frame: Bytes) -> Result<(), TransportError>;
     /// Receives one frame, blocking until available or the peer closes.
     fn recv(&mut self) -> Result<Bytes, TransportError>;
 
@@ -231,10 +241,12 @@ pub trait Connection: Send {
     }
 }
 
-/// The sending half of a split [`Connection`].
+/// The sending half of a split [`Connection`]. Same ownership contract as
+/// [`Connection::send`]: the frame is handed over, never copied by the
+/// in-process fabrics.
 pub trait SendHalf: Send {
-    /// Sends one frame.
-    fn send(&mut self, frame: &[u8]) -> Result<(), TransportError>;
+    /// Sends one frame, taking ownership of it.
+    fn send(&mut self, frame: Bytes) -> Result<(), TransportError>;
     /// Tears the connection down so the peer (and the paired
     /// [`RecvHalf`], possibly blocked in `recv` on another thread) observes
     /// [`TransportError::Closed`].
@@ -333,7 +345,7 @@ mod tests {
     fn recv_timeout_defaults_to_unsupported() {
         struct Fixed;
         impl Connection for Fixed {
-            fn send(&mut self, _frame: &[u8]) -> Result<(), TransportError> {
+            fn send(&mut self, _frame: Bytes) -> Result<(), TransportError> {
                 Ok(())
             }
             fn recv(&mut self) -> Result<Bytes, TransportError> {

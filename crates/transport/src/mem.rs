@@ -2,9 +2,11 @@
 //!
 //! A [`MemFabric`] is a rendezvous namespace. Listeners bind a key; dialers
 //! connect by key and the fabric hands both sides a pair of unbounded
-//! crossbeam channels. Frames are moved as [`Bytes`] — one refcount bump, no
-//! copy — which is exactly the property that makes the shared-memory protocol
-//! an order of magnitude faster than the network paths in Figure 5.
+//! crossbeam channels. A sent frame is moved into the channel as the
+//! sender's own [`Bytes`]: the receiver gets the same allocation, with no
+//! copy and no refcount traffic on the way. That is the property that makes
+//! the shared-memory protocol an order of magnitude faster than the network
+//! paths in Figure 5.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,16 +27,20 @@ pub struct MemConnection {
     recv_timeout: Option<std::time::Duration>,
 }
 
+/// Moves `frame` into the peer's queue, enforcing [`MAX_FRAME`].
+fn send_frame(tx: Option<&Sender<Bytes>>, frame: Bytes) -> Result<(), TransportError> {
+    let n = frame.len();
+    let r = match tx {
+        None => Err(TransportError::Closed),
+        Some(_) if n > MAX_FRAME => Err(TransportError::FrameTooLarge(n)),
+        Some(tx) => tx.send(frame).map_err(|_| TransportError::Closed),
+    };
+    telem::track_send("mem", n, r)
+}
+
 impl Connection for MemConnection {
-    fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        let r = if frame.len() > MAX_FRAME {
-            Err(TransportError::FrameTooLarge(frame.len()))
-        } else {
-            self.tx
-                .send(Bytes::copy_from_slice(frame))
-                .map_err(|_| TransportError::Closed)
-        };
-        telem::track_send("mem", frame.len(), r)
+    fn send(&mut self, frame: Bytes) -> Result<(), TransportError> {
+        send_frame(Some(&self.tx), frame)
     }
 
     fn recv(&mut self) -> Result<Bytes, TransportError> {
@@ -68,18 +74,8 @@ pub struct MemSendHalf {
 }
 
 impl SendHalf for MemSendHalf {
-    fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        let r = if frame.len() > MAX_FRAME {
-            Err(TransportError::FrameTooLarge(frame.len()))
-        } else {
-            match &self.tx {
-                None => Err(TransportError::Closed),
-                Some(tx) => tx
-                    .send(Bytes::copy_from_slice(frame))
-                    .map_err(|_| TransportError::Closed),
-            }
-        };
-        telem::track_send("mem", frame.len(), r)
+    fn send(&mut self, frame: Bytes) -> Result<(), TransportError> {
+        send_frame(self.tx.as_ref(), frame)
     }
 
     fn close(&mut self) {
@@ -95,20 +91,6 @@ pub struct MemRecvHalf {
 impl RecvHalf for MemRecvHalf {
     fn recv(&mut self) -> Result<Bytes, TransportError> {
         telem::track_recv("mem", self.rx.recv().map_err(|_| TransportError::Closed))
-    }
-}
-
-impl MemConnection {
-    /// Zero-copy send: hands the buffer to the peer without copying. The
-    /// shared-memory protocol object uses this for large payloads.
-    pub fn send_bytes(&mut self, frame: Bytes) -> Result<(), TransportError> {
-        let n = frame.len();
-        let r = if n > MAX_FRAME {
-            Err(TransportError::FrameTooLarge(n))
-        } else {
-            self.tx.send(frame).map_err(|_| TransportError::Closed)
-        };
-        telem::track_send("mem", n, r)
     }
 }
 
@@ -233,14 +215,36 @@ mod tests {
         let f2 = fabric.clone();
         let h = std::thread::spawn(move || {
             let mut c = f2.dial(&ep).unwrap();
-            c.send(b"ping").unwrap();
+            c.send(Bytes::from_static(b"ping")).unwrap();
             c.recv().unwrap()
         });
 
         let mut server = listener.accept().unwrap();
         assert_eq!(&server.recv().unwrap()[..], b"ping");
-        server.send(b"pong").unwrap();
+        server.send(Bytes::from_static(b"pong")).unwrap();
         assert_eq!(&h.join().unwrap()[..], b"pong");
+    }
+
+    #[test]
+    fn send_delivers_the_senders_allocation() {
+        let fabric = MemFabric::new();
+        let mut listener = fabric.listen();
+        let ep = listener.endpoint();
+        let mut c = fabric.dial(&ep).unwrap();
+        let mut server = listener.accept().unwrap();
+        let frame = Bytes::from(vec![0xA5u8; 1 << 16]);
+        let sent_at = frame.as_ptr();
+        c.send(frame).unwrap();
+        let got = server.recv().unwrap();
+        assert_eq!(got.as_ptr(), sent_at, "the receiver holds the sent buffer, not a copy");
+        assert_eq!(got.len(), 1 << 16);
+
+        // The split halves move frames the same way.
+        let (mut tx, _rx) = c.split();
+        let frame = Bytes::from(vec![1u8; 64]);
+        let sent_at = frame.as_ptr();
+        tx.send(frame).unwrap();
+        assert_eq!(server.recv().unwrap().as_ptr(), sent_at);
     }
 
     #[test]
@@ -270,7 +274,7 @@ mod tests {
         let mut server = listener.accept().unwrap();
         drop(c);
         assert_eq!(server.recv().unwrap_err(), TransportError::Closed);
-        assert_eq!(server.send(b"x").unwrap_err(), TransportError::Closed);
+        assert_eq!(server.send(Bytes::from_static(b"x")).unwrap_err(), TransportError::Closed);
     }
 
     #[test]
@@ -310,7 +314,7 @@ mod tests {
         let mut c = fabric.dial(&ep).unwrap();
         let _s = listener.accept().unwrap();
         let big = vec![0u8; MAX_FRAME + 1];
-        assert!(matches!(c.send(&big).unwrap_err(), TransportError::FrameTooLarge(_)));
+        assert!(matches!(c.send(Bytes::from(big)).unwrap_err(), TransportError::FrameTooLarge(_)));
     }
 
     #[test]
@@ -320,9 +324,9 @@ mod tests {
         let ep = listener.endpoint();
         let (mut tx, mut rx) = fabric.dial(&ep).unwrap().split();
         let mut server = listener.accept().unwrap();
-        tx.send(b"halved").unwrap();
+        tx.send(Bytes::from_static(b"halved")).unwrap();
         assert_eq!(&server.recv().unwrap()[..], b"halved");
-        server.send(b"ok").unwrap();
+        server.send(Bytes::from_static(b"ok")).unwrap();
         assert_eq!(&rx.recv().unwrap()[..], b"ok");
         // Close chain: our send half closes -> server's recv errors -> the
         // test drops the server conn -> our reader unblocks with Closed.
@@ -331,7 +335,7 @@ mod tests {
         assert_eq!(server.recv().unwrap_err(), TransportError::Closed);
         drop(server);
         assert_eq!(reader.join().unwrap().unwrap_err(), TransportError::Closed);
-        assert!(matches!(tx.send(b"late").unwrap_err(), TransportError::Closed));
+        assert!(matches!(tx.send(Bytes::from_static(b"late")).unwrap_err(), TransportError::Closed));
     }
 
     #[test]
@@ -343,7 +347,7 @@ mod tests {
         let mut server = listener.accept().unwrap();
         assert!(c.set_recv_timeout(Some(std::time::Duration::from_millis(20))));
         assert_eq!(c.recv().unwrap_err(), TransportError::Timeout);
-        server.send(b"now").unwrap();
+        server.send(Bytes::from_static(b"now")).unwrap();
         assert_eq!(&c.recv().unwrap()[..], b"now");
         assert!(c.set_recv_timeout(None));
     }
@@ -356,7 +360,7 @@ mod tests {
         let mut c = fabric.dial(&ep).unwrap();
         let mut s = listener.accept().unwrap();
         for i in 0..100u32 {
-            c.send(&i.to_be_bytes()).unwrap();
+            c.send(Bytes::copy_from_slice(&i.to_be_bytes())).unwrap();
         }
         for i in 0..100u32 {
             assert_eq!(&s.recv().unwrap()[..], &i.to_be_bytes());
@@ -371,7 +375,7 @@ mod tests {
         let mut clients: Vec<_> = (0..4u32)
             .map(|i| {
                 let mut c = fabric.dial(&ep).unwrap();
-                c.send(&i.to_be_bytes()).unwrap();
+                c.send(Bytes::copy_from_slice(&i.to_be_bytes())).unwrap();
                 c
             })
             .collect();
@@ -386,7 +390,7 @@ mod tests {
         assert_eq!(seen, vec![0, 1, 2, 3]);
         for c in clients.iter_mut() {
             // all client halves still alive
-            assert!(c.send(b"ok").is_ok());
+            assert!(c.send(Bytes::from_static(b"ok")).is_ok());
         }
     }
 }

@@ -144,10 +144,12 @@ impl MuxChannel {
     /// One multiplexed request/reply: registers `id`, sends `frame` (writer
     /// lock held only for the send), and waits — up to `timeout`, forever
     /// with `None` — for the reader thread to deliver the correlated reply.
+    /// The frame is borrowed so a caller can retry with it; the fabric gets
+    /// a clone of the handle, not a copy of the bytes.
     pub fn call(
         &self,
         id: u64,
-        frame: &[u8],
+        frame: &Bytes,
         timeout: Option<Duration>,
     ) -> Result<Bytes, MuxError> {
         let rx = self.register(id)?;
@@ -169,8 +171,8 @@ impl MuxChannel {
 
     /// Sends a frame that expects no reply (one-way requests). Failure is
     /// always [`MuxError::Unsent`]: a one-way either left the process or it
-    /// did not.
-    pub fn send_only(&self, frame: &[u8]) -> Result<(), MuxError> {
+    /// did not. Like [`call`](Self::call), sends a clone of the handle.
+    pub fn send_only(&self, frame: &Bytes) -> Result<(), MuxError> {
         if let Some(e) = self.dead_error() {
             return Err(MuxError::Unsent(e));
         }
@@ -253,14 +255,14 @@ impl MuxChannel {
     }
 
     /// The framed send; the writer lock is held only for this.
-    fn send_frame(&self, frame: &[u8]) -> Result<(), TransportError> {
+    fn send_frame(&self, frame: &Bytes) -> Result<(), TransportError> {
         // ohpc-analyze: allow(guard-across-blocking) — the sender mutex
         // exists precisely to serialize whole frames onto the shared wire;
         // it guards nothing else and is held for exactly one send.
         let mut guard = self.sender.lock();
         match guard.as_mut() {
             None => Err(TransportError::Closed),
-            Some(tx) => tx.send(frame),
+            Some(tx) => tx.send(frame.clone()),
         }
     }
 
@@ -396,12 +398,10 @@ mod tests {
         tx: Option<Sender<Bytes>>,
     }
     impl SendHalf for TestSend {
-        fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
+        fn send(&mut self, frame: Bytes) -> Result<(), TransportError> {
             match &self.tx {
                 None => Err(TransportError::Closed),
-                Some(tx) => tx
-                    .send(Bytes::copy_from_slice(frame))
-                    .map_err(|_| TransportError::Closed),
+                Some(tx) => tx.send(frame).map_err(|_| TransportError::Closed),
             }
         }
         fn close(&mut self) {
@@ -425,10 +425,10 @@ mod tests {
         })
     }
 
-    fn frame(id: u64, body: &[u8]) -> Vec<u8> {
+    fn frame(id: u64, body: &[u8]) -> Bytes {
         let mut f = id.to_be_bytes().to_vec();
         f.extend_from_slice(body);
-        f
+        Bytes::from(f)
     }
 
     /// Spawns a mux over an echo "server" thread that reverses bodies and,
@@ -590,7 +590,7 @@ mod tests {
             for _ in 0..3 {
                 let _ = req_rx.recv();
             }
-            rep_tx.send(Bytes::from(frame(999, b"stray"))).unwrap();
+            rep_tx.send(frame(999, b"stray")).unwrap();
             // Keep the connection open: only the stray reply may end it.
             let _ = req_rx.recv();
         });

@@ -145,7 +145,7 @@ pub struct SimConnection {
 }
 
 impl Connection for SimConnection {
-    fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
+    fn send(&mut self, frame: Bytes) -> Result<(), TransportError> {
         self.send.send(frame)
     }
 
@@ -168,10 +168,13 @@ pub struct SimSendHalf {
 }
 
 impl SendHalf for SimSendHalf {
-    fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
+    /// The frame is moved into the peer's queue, as on the mem fabric; only
+    /// its length reaches the simulated wire.
+    fn send(&mut self, frame: Bytes) -> Result<(), TransportError> {
+        let n = frame.len();
         let r = match &self.tx {
             None => Err(TransportError::Closed),
-            Some(_) if frame.len() > MAX_FRAME => Err(TransportError::FrameTooLarge(frame.len())),
+            Some(_) if n > MAX_FRAME => Err(TransportError::FrameTooLarge(n)),
             // Charge the wire before delivery: the receiver cannot see the
             // frame earlier than its simulated arrival because the sender only
             // enqueues it after advancing the clock. A partitioned link or
@@ -180,13 +183,13 @@ impl SendHalf for SimSendHalf {
             Some(tx) => match self.net.try_transfer(
                 self.local,
                 self.remote,
-                frame.len() + FRAME_WIRE_OVERHEAD,
+                n + FRAME_WIRE_OVERHEAD,
             ) {
-                Ok(_) => tx.send(Bytes::copy_from_slice(frame)).map_err(|_| TransportError::Closed),
+                Ok(_) => tx.send(frame).map_err(|_| TransportError::Closed),
                 Err(fault) => Err(TransportError::Io(format!("timed out: {fault}"))),
             },
         };
-        telem::track_send("sim", frame.len(), r)
+        telem::track_send("sim", n, r)
     }
 
     /// Drops the sender, so the peer's `recv` sees `Closed`.
@@ -261,7 +264,7 @@ mod tests {
         let t0 = fabric.net().clock().now();
         let mut c = dialer.dial(&ep).unwrap();
         let mut s = listener.accept().unwrap();
-        c.send(&vec![7u8; 125_000]).unwrap();
+        c.send(Bytes::from(vec![7u8; 125_000])).unwrap();
         assert_eq!(s.recv().unwrap().len(), 125_000);
         let elapsed = fabric.net().clock().now().saturating_sub(t0);
         // 125 KB at 135 Mbps ≈ 7.4 ms; must be in a sane band.
@@ -278,7 +281,7 @@ mod tests {
         let mut c = fabric.dialer(m0).dial(&remote_listener.endpoint()).unwrap();
         let mut s = remote_listener.accept().unwrap();
         let t0 = fabric.net().clock().now();
-        c.send(&vec![1u8; bytes]).unwrap();
+        c.send(Bytes::from(vec![1u8; bytes])).unwrap();
         s.recv().unwrap();
         let remote_time = fabric.net().clock().now().saturating_sub(t0);
 
@@ -286,7 +289,7 @@ mod tests {
         let mut c2 = fabric.dialer(m0).dial(&local_listener.endpoint()).unwrap();
         let mut s2 = local_listener.accept().unwrap();
         let t1 = fabric.net().clock().now();
-        c2.send(&vec![1u8; bytes]).unwrap();
+        c2.send(Bytes::from(vec![1u8; bytes])).unwrap();
         s2.recv().unwrap();
         let local_time = fabric.net().clock().now().saturating_sub(t1);
 
@@ -334,22 +337,22 @@ mod tests {
         // Established connection first, then the partition hits.
         let mut c = fabric.dialer(m0).dial(&ep).unwrap();
         let mut s = listener.accept().unwrap();
-        c.send(b"before").unwrap();
+        c.send(Bytes::from_static(b"before")).unwrap();
         assert_eq!(&s.recv().unwrap()[..], b"before");
 
         fabric.net().partition(m0, m3);
-        let err = c.send(b"during").unwrap_err();
+        let err = c.send(Bytes::from_static(b"during")).unwrap_err();
         assert!(
             matches!(&err, TransportError::Io(m) if m.contains("timed out")),
             "partition must look like a timeout, got {err:?}"
         );
         // New dials fail the same way; the reverse direction too.
         assert!(fabric.dialer(m0).dial(&ep).is_err());
-        assert!(matches!(s.send(b"reply"), Err(TransportError::Io(_))));
+        assert!(matches!(s.send(Bytes::from_static(b"reply")), Err(TransportError::Io(_))));
 
         // Heal: established connection works again without re-dialing.
         fabric.net().heal(m0, m3);
-        c.send(b"after").unwrap();
+        c.send(Bytes::from_static(b"after")).unwrap();
         assert_eq!(&s.recv().unwrap()[..], b"after");
     }
 
@@ -363,7 +366,7 @@ mod tests {
         fabric.net().restart(m3);
         let mut c = fabric.dialer(m0).dial(&ep).unwrap();
         let mut s = listener.accept().unwrap();
-        c.send(b"up again").unwrap();
+        c.send(Bytes::from_static(b"up again")).unwrap();
         assert_eq!(&s.recv().unwrap()[..], b"up again");
     }
 
@@ -374,10 +377,10 @@ mod tests {
         let ep = listener.endpoint();
         let mut c = fabric.dialer(m0).dial(&ep).unwrap();
         let mut s = listener.accept().unwrap();
-        c.send(b"req").unwrap();
+        c.send(Bytes::from_static(b"req")).unwrap();
         s.recv().unwrap();
         let t_mid = fabric.net().clock().now();
-        s.send(&vec![9u8; 125_000]).unwrap();
+        s.send(Bytes::from(vec![9u8; 125_000])).unwrap();
         c.recv().unwrap();
         let t_end = fabric.net().clock().now();
         assert!(t_end > t_mid, "reply transfer must consume virtual time");
@@ -392,16 +395,16 @@ mod tests {
         let (mut s_tx, mut s_rx) = listener.accept().unwrap().split();
 
         let t0 = fabric.net().clock().now();
-        c_tx.send(b"req").unwrap();
+        c_tx.send(Bytes::from_static(b"req")).unwrap();
         assert_eq!(&s_rx.recv().unwrap()[..], b"req");
         let t_mid = fabric.net().clock().now();
         assert!(t_mid > t0, "request transfer must consume virtual time");
-        s_tx.send(&vec![9u8; 125_000]).unwrap();
+        s_tx.send(Bytes::from(vec![9u8; 125_000])).unwrap();
         assert_eq!(c_rx.recv().unwrap().len(), 125_000);
         assert!(fabric.net().clock().now() > t_mid, "reply transfer must consume virtual time");
 
         fabric.net().partition(m0, m3);
-        let err = s_tx.send(b"reply").unwrap_err();
+        let err = s_tx.send(Bytes::from_static(b"reply")).unwrap_err();
         assert!(
             matches!(&err, TransportError::Io(m) if m.contains("timed out")),
             "partition must look like a timeout, got {err:?}"
@@ -410,6 +413,6 @@ mod tests {
 
         s_tx.close();
         assert_eq!(c_rx.recv().unwrap_err(), TransportError::Closed);
-        assert_eq!(s_tx.send(b"late").unwrap_err(), TransportError::Closed);
+        assert_eq!(s_tx.send(Bytes::from_static(b"late")).unwrap_err(), TransportError::Closed);
     }
 }

@@ -49,8 +49,8 @@ impl TcpConnection {
 }
 
 impl Connection for TcpConnection {
-    fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        let r = write_frame(&self.stream, frame);
+    fn send(&mut self, frame: Bytes) -> Result<(), TransportError> {
+        let r = write_frame(&self.stream, &frame);
         telem::track_send("tcp", frame.len(), r)
     }
 
@@ -77,8 +77,8 @@ pub struct TcpSendHalf {
 }
 
 impl SendHalf for TcpSendHalf {
-    fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        let r = write_frame(&self.stream, frame);
+    fn send(&mut self, frame: Bytes) -> Result<(), TransportError> {
+        let r = write_frame(&self.stream, &frame);
         telem::track_send("tcp", frame.len(), r)
     }
 
@@ -183,12 +183,12 @@ mod tests {
         let ep = acceptor.endpoint();
         let h = std::thread::spawn(move || {
             let mut c = TcpDialer.dial(&ep).unwrap();
-            c.send(b"hello tcp").unwrap();
+            c.send(Bytes::from_static(b"hello tcp")).unwrap();
             c.recv().unwrap()
         });
         let mut server = acceptor.accept().unwrap();
         assert_eq!(&server.recv().unwrap()[..], b"hello tcp");
-        server.send(b"and back").unwrap();
+        server.send(Bytes::from_static(b"and back")).unwrap();
         assert_eq!(&h.join().unwrap()[..], b"and back");
     }
 
@@ -200,7 +200,7 @@ mod tests {
         let expect = payload.clone();
         let h = std::thread::spawn(move || {
             let mut c = TcpDialer.dial(&ep).unwrap();
-            c.send(&payload).unwrap();
+            c.send(Bytes::from(payload)).unwrap();
         });
         let mut server = acceptor.accept().unwrap();
         assert_eq!(&server.recv().unwrap()[..], &expect[..]);
@@ -262,7 +262,7 @@ mod tests {
         let ep = acceptor.endpoint();
         let h = std::thread::spawn(move || {
             let (mut tx, mut rx) = TcpDialer.dial(&ep).unwrap().split();
-            tx.send(b"via half").unwrap();
+            tx.send(Bytes::from_static(b"via half")).unwrap();
             let echoed = rx.recv().unwrap();
             // Reader parked in recv; closing the send half unblocks it.
             let reader = std::thread::spawn(move || rx.recv());
@@ -274,7 +274,7 @@ mod tests {
         let mut server = acceptor.accept().unwrap();
         let frame = server.recv().unwrap();
         assert_eq!(&frame[..], b"via half");
-        server.send(b"back at you").unwrap();
+        server.send(Bytes::from_static(b"back at you")).unwrap();
         assert_eq!(&h.join().unwrap()[..], b"back at you");
     }
 

@@ -258,7 +258,7 @@ struct FlakyConnection {
 }
 
 impl Connection for FlakyConnection {
-    fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
+    fn send(&mut self, frame: Bytes) -> Result<(), TransportError> {
         self.plan.send_through(|| self.inner.send(frame))
     }
 
@@ -282,7 +282,7 @@ struct FlakySendHalf {
 }
 
 impl SendHalf for FlakySendHalf {
-    fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
+    fn send(&mut self, frame: Bytes) -> Result<(), TransportError> {
         self.plan.send_through(|| self.inner.send(frame))
     }
 
@@ -360,25 +360,25 @@ mod tests {
         let dialer = FlakyDialer::new(Arc::new(fabric), ok_plan.clone());
         let mut conn = dialer.dial(&ep).unwrap();
         let mut server = listener.accept().unwrap();
-        assert!(conn.send(b"x").is_err());
+        assert!(conn.send(Bytes::from_static(b"x")).is_err());
         assert_eq!(ok_plan.injected_of(FaultKind::Send), 1);
         assert_eq!(ok_plan.injected_of(FaultKind::Recv), 0);
 
         // The split halves keep drawing from the same schedule: op 3 sends,
         // op 4 fails its send, op 5 receives, op 6 fails its receive.
         let (mut tx, mut rx) = conn.split();
-        tx.send(b"y").unwrap();
-        assert_eq!(tx.send(b"z").unwrap_err(), TransportError::Closed);
+        tx.send(Bytes::from_static(b"y")).unwrap();
+        assert_eq!(tx.send(Bytes::from_static(b"z")).unwrap_err(), TransportError::Closed);
         assert_eq!(&server.recv().unwrap()[..], b"y", "the failed send never left");
-        server.send(b"a").unwrap();
-        server.send(b"b").unwrap();
+        server.send(Bytes::from_static(b"a")).unwrap();
+        server.send(Bytes::from_static(b"b")).unwrap();
         assert_eq!(&rx.recv().unwrap()[..], b"a");
         // A recv fault is decided on arrival: it consumes the frame.
         assert_eq!(rx.recv().unwrap_err(), TransportError::Closed);
         assert_eq!(ok_plan.injected_of(FaultKind::Send), 2);
         assert_eq!(ok_plan.injected_of(FaultKind::Recv), 1);
         assert_eq!(ok_plan.operations(), 6);
-        server.send(b"c").unwrap();
+        server.send(Bytes::from_static(b"c")).unwrap();
         assert_eq!(&rx.recv().unwrap()[..], b"c", "frame b was consumed by the fault");
     }
 
@@ -393,7 +393,7 @@ mod tests {
         let mut conn = dialer.dial(&ep).unwrap();
         let mut server = listener.accept().unwrap();
         let payload = b"all your frame are belong to us";
-        server.send(payload).unwrap();
+        server.send(Bytes::from_static(payload)).unwrap();
         let got = conn.recv().unwrap();
         assert_eq!(got.len(), payload.len(), "corruption preserves length");
         assert_ne!(&got[..], payload, "frame was corrupted");
@@ -432,10 +432,10 @@ mod tests {
         // op1 = dial (ok), op2 = send (ok), op3 = recv (ok), op4 = send (FAIL)
         let mut conn = dialer.dial(&ep).unwrap();
         let mut server = listener.accept().unwrap();
-        conn.send(b"one").unwrap();
-        server.send(b"ack").unwrap();
+        conn.send(Bytes::from_static(b"one")).unwrap();
+        server.send(Bytes::from_static(b"ack")).unwrap();
         assert_eq!(&conn.recv().unwrap()[..], b"ack");
-        assert_eq!(conn.send(b"two").unwrap_err(), TransportError::Closed);
+        assert_eq!(conn.send(Bytes::from_static(b"two")).unwrap_err(), TransportError::Closed);
         assert_eq!(plan.injected(), 1);
         assert_eq!(plan.injected_of(FaultKind::Send), 1);
     }

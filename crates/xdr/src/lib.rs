@@ -45,12 +45,21 @@ pub use writer::XdrWriter;
 pub fn encode_to_vec<T: XdrEncode + ?Sized>(value: &T) -> Vec<u8> {
     let mut w = XdrWriter::new();
     value.encode(&mut w);
-    w.finish().to_vec()
+    w.finish().into()
 }
 
 /// Decodes a single value from `buf`, requiring that every byte is consumed.
 pub fn decode_from_slice<T: XdrDecode>(buf: &[u8]) -> Result<T, XdrError> {
-    let mut r = XdrReader::new(buf);
+    decode_all(XdrReader::new(buf))
+}
+
+/// [`decode_from_slice`] over a shared buffer: opaques the value reads with
+/// [`XdrReader::get_opaque_bytes`] share `buf` instead of copying it.
+pub fn decode_from_bytes<T: XdrDecode>(buf: &bytes::Bytes) -> Result<T, XdrError> {
+    decode_all(XdrReader::from_bytes(buf))
+}
+
+fn decode_all<T: XdrDecode>(mut r: XdrReader<'_>) -> Result<T, XdrError> {
     let v = T::decode(&mut r)?;
     if !r.is_empty() {
         return Err(XdrError::TrailingBytes(r.remaining()));

@@ -1,3 +1,5 @@
+use bytes::Bytes;
+
 use crate::{pad4, XdrError};
 
 /// Default cap on any single length prefix (strings, opaques, arrays).
@@ -11,9 +13,14 @@ pub const DEFAULT_LENGTH_LIMIT: u32 = 64 << 20;
 ///
 /// Every read checks bounds and returns [`XdrError::Truncated`] rather than
 /// panicking, because input typically arrives from the network.
+///
+/// A reader built with [`from_bytes`](Self::from_bytes) also knows the
+/// shared buffer behind the slice, so [`get_opaque_bytes`](Self::get_opaque_bytes)
+/// can hand out opaques that share it instead of copying them.
 #[derive(Debug, Clone)]
 pub struct XdrReader<'a> {
     buf: &'a [u8],
+    src: Option<&'a Bytes>,
     pos: usize,
     length_limit: u32,
 }
@@ -21,12 +28,20 @@ pub struct XdrReader<'a> {
 impl<'a> XdrReader<'a> {
     /// Wraps `buf` with the default length limit.
     pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0, length_limit: DEFAULT_LENGTH_LIMIT }
+        Self { buf, src: None, pos: 0, length_limit: DEFAULT_LENGTH_LIMIT }
     }
 
     /// Wraps `buf` with a custom cap on length prefixes.
     pub fn with_length_limit(buf: &'a [u8], limit: u32) -> Self {
-        Self { buf, pos: 0, length_limit: limit }
+        Self { buf, src: None, pos: 0, length_limit: limit }
+    }
+
+    /// Wraps a shared buffer with the default length limit. Reads behave as
+    /// with [`new`](Self::new), except that
+    /// [`get_opaque_bytes`](Self::get_opaque_bytes) shares `buf` instead of
+    /// copying out of it.
+    pub fn from_bytes(buf: &'a Bytes) -> Self {
+        Self { buf, src: Some(buf), pos: 0, length_limit: DEFAULT_LENGTH_LIMIT }
     }
 
     /// Bytes not yet consumed.
@@ -128,6 +143,20 @@ impl<'a> XdrReader<'a> {
         self.get_fixed_opaque(len)
     }
 
+    /// Decodes variable-length opaque data as an owned [`Bytes`]. Over a
+    /// reader built with [`from_bytes`](Self::from_bytes) the result shares
+    /// the source buffer (no copy, and it keeps that whole buffer alive);
+    /// over a plain slice it is a copy. Meant for large bodies: small values
+    /// that outlive the message should use [`get_opaque`](Self::get_opaque)
+    /// and copy, so they do not pin a large frame.
+    pub fn get_opaque_bytes(&mut self) -> Result<Bytes, XdrError> {
+        let data = self.get_opaque()?;
+        Ok(match self.src {
+            Some(src) => src.slice_ref(data),
+            None => Bytes::copy_from_slice(data),
+        })
+    }
+
     /// Decodes `len` bytes of fixed-length opaque data plus padding.
     pub fn get_fixed_opaque(&mut self, len: usize) -> Result<&'a [u8], XdrError> {
         let data = self.take(len)?;
@@ -158,6 +187,33 @@ impl<'a> XdrReader<'a> {
             return Err(XdrError::Truncated { needed: n * 4, available: self.remaining() });
         }
         Ok(n)
+    }
+
+    /// Decodes `n` back-to-back `N`-byte big-endian words (no length
+    /// prefix) with one bounds check, converting each with `from_be`. The
+    /// bulk form of `n` calls to `get_i32`/`get_u64`/…, reading the same
+    /// bytes. Fails with [`XdrError::Truncated`] before allocating anything
+    /// when fewer than `n * N` bytes remain. Pairs with
+    /// [`XdrWriter::put_words`](crate::XdrWriter::put_words).
+    pub fn get_words<T, const N: usize>(
+        &mut self,
+        n: usize,
+        from_be: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, XdrError> {
+        const { assert!(N > 0 && N % 4 == 0, "XDR items are whole 4-byte words") };
+        let needed = n.checked_mul(N).ok_or(XdrError::Truncated {
+            needed: usize::MAX,
+            available: self.remaining(),
+        })?;
+        let words = self.take(needed)?;
+        Ok(words
+            .chunks_exact(N)
+            .map(|c| {
+                let mut a = [0u8; N];
+                a.copy_from_slice(c);
+                from_be(a)
+            })
+            .collect())
     }
 
     /// Decodes a *trailing extension*: the backward-compatible way to append
@@ -253,6 +309,43 @@ mod tests {
         let mut r = XdrReader::new(&[0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0]);
         let err = r.get_array_len().unwrap_err();
         assert_eq!(err, XdrError::Truncated { needed: 32, available: 8 });
+    }
+
+    #[test]
+    fn get_words_reads_the_per_item_bytes() {
+        let bytes = [0, 0, 0, 1, 0xff, 0xff, 0xff, 0xfe, 9];
+        let mut r = XdrReader::new(&bytes);
+        assert_eq!(r.get_words(2, i32::from_be_bytes).unwrap(), vec![1, -2]);
+        assert_eq!(r.remaining(), 1);
+        let mut r = XdrReader::new(&bytes);
+        assert_eq!(r.get_words(1, u64::from_be_bytes).unwrap(), vec![0x1_ffff_fffe]);
+        assert!(r.get_words(0, u32::from_be_bytes).unwrap().is_empty());
+    }
+
+    #[test]
+    fn get_words_checks_the_whole_run_up_front() {
+        let mut r = XdrReader::new(&[0u8; 12]);
+        let err = r.get_words(2, u64::from_be_bytes).unwrap_err();
+        assert_eq!(err, XdrError::Truncated { needed: 16, available: 12 });
+        assert_eq!(r.position(), 0, "nothing consumed on failure");
+        let err = r.get_words(usize::MAX, u64::from_be_bytes).unwrap_err();
+        assert!(matches!(err, XdrError::Truncated { needed: usize::MAX, .. }));
+    }
+
+    #[test]
+    fn opaque_bytes_share_a_bytes_source_and_copy_a_slice() {
+        let frame = Bytes::from(vec![0, 0, 0, 3, b'a', b'b', b'c', 0, 0, 0, 0, 0]);
+        let mut r = XdrReader::from_bytes(&frame);
+        let body = r.get_opaque_bytes().unwrap();
+        assert_eq!(&body[..], b"abc");
+        assert_eq!(body.as_ptr(), frame[4..].as_ptr(), "borrowed from the frame");
+        assert!(r.get_opaque_bytes().unwrap().is_empty());
+        assert!(r.is_empty());
+
+        let mut r = XdrReader::new(&frame);
+        let copied = r.get_opaque_bytes().unwrap();
+        assert_eq!(copied, body);
+        assert_ne!(copied.as_ptr(), body.as_ptr(), "a plain slice reader copies");
     }
 
     #[test]

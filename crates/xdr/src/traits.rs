@@ -116,58 +116,69 @@ impl XdrEncode for [u8] {
     }
 }
 
-/// Generic arrays: length word + elements.
+/// Numeric arrays: length word + elements, one word (or hyper) each. The
+/// elements are encoded in one pass over a pre-sized buffer and decoded
+/// from one bounds-checked slice; the bytes are those of a per-element
+/// `put_i32`/`get_i32` loop.
 impl XdrEncode for Vec<i32> {
     fn encode(&self, w: &mut XdrWriter) {
         w.put_array_len(self.len());
-        for v in self {
-            w.put_i32(*v);
-        }
+        w.put_words(self, i32::to_be_bytes);
     }
 }
 
 impl XdrDecode for Vec<i32> {
+    fn decode(r: &mut XdrReader<'_>) -> Result<Self, XdrError> {
+        // The prefix is bounded against the bytes left, and `get_words`
+        // checks the whole run before allocating, so a lying prefix cannot
+        // force a large allocation.
+        let n = r.get_array_len()?;
+        r.get_words(n, i32::from_be_bytes)
+    }
+}
+
+/// The other numeric element types, in the same bulk form as `Vec<i32>`.
+macro_rules! impl_vec_words {
+    ($($t:ty),+) => {$(
+        impl XdrEncode for Vec<$t> {
+            fn encode(&self, w: &mut XdrWriter) {
+                w.put_array_len(self.len());
+                w.put_words(self, <$t>::to_be_bytes);
+            }
+        }
+        impl XdrDecode for Vec<$t> {
+            fn decode(r: &mut XdrReader<'_>) -> Result<Self, XdrError> {
+                let n = r.get_array_len()?;
+                r.get_words(n, <$t>::from_be_bytes)
+            }
+        }
+    )+};
+}
+
+impl_vec_words!(u32, u64, i64, f32, f64);
+
+/// Arrays of variable-size elements: length word + each element's codec.
+impl XdrEncode for Vec<String> {
+    fn encode(&self, w: &mut XdrWriter) {
+        w.put_array_len(self.len());
+        for v in self {
+            v.encode(w);
+        }
+    }
+}
+
+impl XdrDecode for Vec<String> {
     fn decode(r: &mut XdrReader<'_>) -> Result<Self, XdrError> {
         let n = r.get_array_len()?;
         // A length prefix can claim at most remaining/4 elements; clamp the
         // pre-reservation so a lying prefix cannot force a huge allocation.
         let mut out = Vec::with_capacity(n.min(r.remaining() / 4));
         for _ in 0..n {
-            out.push(r.get_i32()?);
+            out.push(String::decode(r)?);
         }
         Ok(out)
     }
 }
-
-macro_rules! impl_vec {
-    ($t:ty) => {
-        impl XdrEncode for Vec<$t> {
-            fn encode(&self, w: &mut XdrWriter) {
-                w.put_array_len(self.len());
-                for v in self {
-                    v.encode(w);
-                }
-            }
-        }
-        impl XdrDecode for Vec<$t> {
-            fn decode(r: &mut XdrReader<'_>) -> Result<Self, XdrError> {
-                let n = r.get_array_len()?;
-                let mut out = Vec::with_capacity(n.min(r.remaining() / 4));
-                for _ in 0..n {
-                    out.push(<$t>::decode(r)?);
-                }
-                Ok(out)
-            }
-        }
-    };
-}
-
-impl_vec!(u32);
-impl_vec!(u64);
-impl_vec!(i64);
-impl_vec!(f32);
-impl_vec!(f64);
-impl_vec!(String);
 
 impl<T: XdrEncode> XdrEncode for Option<T> {
     fn encode(&self, w: &mut XdrWriter) {

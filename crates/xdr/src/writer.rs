@@ -40,7 +40,8 @@ impl XdrWriter {
         &self.buf
     }
 
-    /// Consumes the writer, returning the encoded bytes.
+    /// Consumes the writer, returning the encoded bytes. The buffer is
+    /// handed over, not copied.
     pub fn finish(self) -> Bytes {
         debug_assert_eq!(self.buf.len() % 4, 0, "XDR stream must stay 4-byte aligned");
         self.buf.freeze()
@@ -109,6 +110,22 @@ impl XdrWriter {
         self.put_opaque(s.as_bytes());
     }
 
+    /// Encodes `items` back to back as `N`-byte big-endian words, without a
+    /// length prefix: one resize, then an in-place fill. This is the bulk
+    /// form of calling `put_i32`/`put_u64`/… once per item and produces the
+    /// same bytes. `N` must be a whole number of XDR words (4 or 8).
+    /// Pairs with [`XdrReader::get_words`](crate::XdrReader::get_words).
+    pub fn put_words<T: Copy, const N: usize>(&mut self, items: &[T], to_be: impl Fn(T) -> [u8; N]) {
+        const { assert!(N > 0 && N % 4 == 0, "XDR items are whole 4-byte words") };
+        let start = self.buf.len();
+        self.buf.resize(start + items.len() * N, 0);
+        if let Some(tail) = self.buf.get_mut(start..) {
+            for (dst, &v) in tail.chunks_exact_mut(N).zip(items) {
+                dst.copy_from_slice(&to_be(v));
+            }
+        }
+    }
+
     /// Encodes an array length prefix. Callers then encode `n` elements.
     #[inline]
     pub fn put_array_len(&mut self, n: usize) {
@@ -161,6 +178,38 @@ mod tests {
         let b = w.finish();
         assert_eq!(&b[..8], &[1, 2, 3, 4, 5, 6, 7, 8]);
         assert_eq!(&b[8..], &[0xff; 8][..7].iter().chain(&[0xfeu8]).copied().collect::<Vec<_>>()[..]);
+    }
+
+    #[test]
+    fn put_words_matches_per_item_puts() {
+        let v = [1i32, -2, i32::MAX, i32::MIN];
+        let mut bulk = XdrWriter::new();
+        bulk.put_u32(7);
+        bulk.put_words(&v, i32::to_be_bytes);
+        let mut each = XdrWriter::new();
+        each.put_u32(7);
+        for x in v {
+            each.put_i32(x);
+        }
+        assert_eq!(bulk.finish(), each.finish());
+
+        let d = [1.5f64, -0.0, f64::NAN];
+        let mut bulk = XdrWriter::new();
+        bulk.put_words(&d, f64::to_be_bytes);
+        assert_eq!(bulk.len(), 24);
+        let mut each = XdrWriter::new();
+        for x in d {
+            each.put_f64(x);
+        }
+        assert_eq!(bulk.finish(), each.finish());
+    }
+
+    #[test]
+    fn finish_hands_the_buffer_over() {
+        let mut w = XdrWriter::with_capacity(64);
+        w.put_string("no copy");
+        let before = w.peek().as_ptr();
+        assert_eq!(w.finish().as_ptr(), before);
     }
 
     #[test]

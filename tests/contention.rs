@@ -222,7 +222,7 @@ mod mux_stress {
             let mut conn = listener.accept().unwrap();
             let frame = conn.recv().unwrap();
             let req = RequestMessage::from_frame(&frame).unwrap();
-            conn.send(&ReplyMessage::ok(req.request_id, req.body).to_frame()).unwrap();
+            conn.send(ReplyMessage::ok(req.request_id, req.body).to_frame()).unwrap();
             for _ in 0..WAITERS {
                 conn.recv().unwrap();
             }
