@@ -32,7 +32,6 @@ pub const RULE: &str = "unbounded-spawn";
 /// Fns whose bodies (and transitive callees) run once per request.
 const DISPATCH_ROOTS: &[&str] = &[
     "serve_connection",
-    "serve_connection_split",
     "handle_frame",
     "handle_frame_opt",
     "handle_request",
@@ -130,7 +129,7 @@ mod tests {
     #[test]
     fn spawn_in_dispatch_root_is_flagged() {
         let src = r#"
-            fn serve_connection_split(frames: Vec<Frame>) {
+            fn serve_connection(frames: Vec<Frame>) {
                 for frame in frames {
                     std::thread::spawn(move || work(frame));
                 }

@@ -26,6 +26,11 @@
 //!   covered variant names, and the arm's own op sequence. An encode whose
 //!   arms each start with `put_u32(<literal>)` is normalized to
 //!   `U32 . Branch` so both shapes of tagged-union codec compare equal;
+//! * **shared segments** — `put_opaque_bytes` appends an opaque as a
+//!   segment of its own instead of copying it, and `get_opaque_bytes`
+//!   reads one back (from any segment split of the frame) without a copy:
+//!   on the wire both are `put_opaque`/`get_opaque`, so they are read as
+//!   those;
 //! * **trailing extensions** — `put_trailing_extension` /
 //!   `get_trailing_extension` become [`Op::TrailingExt`], with the payload
 //!   shape recovered by inlining the helper that builds/parses it
@@ -192,6 +197,9 @@ const WRITER_OPS: &[(&str, Prim)] = &[
     ("put_bool", Prim::Bool),
     ("put_string", Prim::Str),
     ("put_opaque", Prim::Bytes),
+    // Same wire write as `put_opaque`; only the ownership of the data
+    // differs (it is appended as a shared segment, not copied).
+    ("put_opaque_bytes", Prim::Bytes),
     ("put_fixed_opaque", Prim::FixedBytes),
     ("put_array_len", Prim::ArrayLen),
 ];
@@ -1039,6 +1047,32 @@ mod tests {
             [Op::Prim(Prim::ArrayLen, _, _), Op::Repeat(ref body, _), Op::Prim(Prim::Bytes, _, _)]
                 if matches!(body[..], [Op::Prim(Prim::F64, _, _)])
         ), "{dec:?}");
+    }
+
+    #[test]
+    fn segment_appends_are_opaques() {
+        let u = universe_of(
+            r#"
+            impl XdrEncode for Msg {
+                fn encode(&self, w: &mut XdrWriter) {
+                    w.put_u64(self.id);
+                    w.put_opaque_bytes(self.body.clone());
+                }
+            }
+            impl XdrDecode for Msg {
+                fn decode(r: &mut XdrReader<'_>) -> Result<Self, XdrError> {
+                    Ok(Self { id: r.get_u64()?, body: r.get_opaque_bytes()? })
+                }
+            }
+            "#,
+        );
+        let t = &u.types["Msg"];
+        for ops in [&t.encode.as_ref().unwrap().ops, &t.decode.as_ref().unwrap().ops] {
+            assert!(
+                matches!(ops[..], [Op::Prim(Prim::U64, _, _), Op::Prim(Prim::Bytes, _, _)]),
+                "{ops:?}"
+            );
+        }
     }
 
     #[test]

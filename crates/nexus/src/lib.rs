@@ -129,7 +129,7 @@ impl NexusService {
 fn serve_connection(mut conn: Box<dyn Connection>, handlers: Arc<HashMap<u32, Handler>>) {
     loop {
         let frame = match conn.recv() {
-            Ok(f) => f,
+            Ok(f) => f.into_contiguous(),
             Err(_) => return,
         };
         let mut reader = XdrReader::new(&frame);
@@ -165,7 +165,7 @@ fn serve_connection(mut conn: Box<dyn Connection>, handlers: Arc<HashMap<u32, Ha
             }
         };
         let _ = status;
-        if wants_reply && conn.send(reply.finish()).is_err() {
+        if wants_reply && conn.send(reply.finish().into()).is_err() {
             return;
         }
     }
@@ -220,7 +220,7 @@ impl Startpoint {
         // ohpc-analyze: allow(guard-across-blocking) — the connection mutex
         // is the framing discipline: concurrent startpoint users must not
         // interleave frames on the one wire.
-        self.conn.lock().send(frame)?;
+        self.conn.lock().send(frame.into())?;
         Ok(())
     }
 
@@ -251,8 +251,8 @@ impl Startpoint {
         // replies.
         let mut conn = self.conn.lock();
         conn.set_recv_timeout(deadline);
-        conn.send(frame)?;
-        let reply = conn.recv()?;
+        conn.send(frame.into())?;
+        let reply = conn.recv()?.into_contiguous();
         drop(conn);
 
         let mut r = XdrReader::new(&reply);

@@ -19,7 +19,7 @@ use ohpc_nexus::NexusService;
 use ohpc_netsim::Location;
 use ohpc_resilience::{BreakerState, HealthKey, HealthPolicy, HealthRegistry};
 use ohpc_runtime::{AdmissionController, Executor, Permit, SerialQueue};
-use ohpc_transport::{Connection, Listener, SendHalf};
+use ohpc_transport::{Connection, Frame, Listener, SendHalf};
 use ohpc_xdr::{XdrReader, XdrWriter};
 
 use crate::capability::{
@@ -331,8 +331,9 @@ impl Context {
         svc.register(NEXUS_ORB_HANDLER, move |args, out| {
             let n = args.remaining();
             let frame = args.get_fixed_opaque(n).map_err(|e| e.to_string())?;
-            let reply = ctx.handle_frame(&Bytes::copy_from_slice(frame));
-            out.put_fixed_opaque(&reply);
+            let reply = ctx.handle_frame(&Bytes::copy_from_slice(frame).into());
+            // Nexus tunnels a contiguous frame.
+            out.put_fixed_opaque(&reply.into_contiguous());
             Ok(())
         });
         let running = svc.start(listener);
@@ -528,7 +529,7 @@ impl Context {
     /// dispatches (see [`handle_request`](Self::handle_request)). One-way
     /// requests still produce an encoded (dropped-by-the-caller) reply;
     /// use [`handle_frame_opt`](Self::handle_frame_opt) on serving paths.
-    pub fn handle_frame(&self, frame: &Bytes) -> Bytes {
+    pub fn handle_frame(&self, frame: &Frame) -> Frame {
         self.handle_frame_opt(frame).unwrap_or_else(|| {
             ReplyMessage::status(crate::ids::RequestId(0), ReplyStatus::Ok).to_frame()
         })
@@ -537,7 +538,7 @@ impl Context {
     /// Like [`handle_frame`](Self::handle_frame) but returns `None` for
     /// one-way requests (which are dispatched — or shed — and produce no
     /// reply frame).
-    pub fn handle_frame_opt(&self, frame: &Bytes) -> Option<Bytes> {
+    pub fn handle_frame_opt(&self, frame: &Frame) -> Option<Frame> {
         let req = match RequestMessage::from_frame(frame) {
             Ok(r) => r,
             Err(e) => {
@@ -783,8 +784,9 @@ impl Drop for ContextInner {
 /// mux sees the connection end and fails its waiters instead of waiting
 /// forever for a reply that never left (a sim partition between request and
 /// reply does exactly that). Returns whether the reply was sent. The frame
-/// is handed to the fabric as is, without a copy.
-fn send_reply(writer: &Mutex<Box<dyn SendHalf>>, reply: Bytes) -> bool {
+/// is handed to the fabric as is: its body segment is the dispatch writer's
+/// buffer, never copied.
+fn send_reply(writer: &Mutex<Box<dyn SendHalf>>, reply: Frame) -> bool {
     // ohpc-analyze: allow(guard-across-blocking) — the writer mutex
     // serializes replies from the executor tasks; one frame per guard is the
     // design.
@@ -910,7 +912,7 @@ mod tests {
     #[test]
     fn malformed_frame_still_replies() {
         let ctx = ctx();
-        let reply_frame = ctx.handle_frame(&Bytes::from_static(&[1, 2, 3]));
+        let reply_frame = ctx.handle_frame(&Bytes::from_static(&[1, 2, 3]).into());
         let reply = ReplyMessage::from_frame(&reply_frame).unwrap();
         assert!(matches!(reply.status, ReplyStatus::Exception(_)));
     }

@@ -6,16 +6,24 @@
 //! request counter, …) so the receiving glue class can run the inverse
 //! transforms.
 //!
-//! Decoding a received frame with `from_frame` does not copy the body: the
-//! decoded `body` shares the frame's buffer. Everything else (glue metas,
-//! trace context, forwarded references) is copied out, so a small value
-//! kept after the message is gone never pins a large frame in memory.
+//! Neither direction copies a body. `to_frame` builds a [`Frame`] of three
+//! segments: the header (every field up to the body's length word), the
+//! body exactly as the caller handed it over, and a tail holding the body's
+//! padding and any trace extension; the same `XdrEncode` impl that
+//! `encode_to_vec` runs produces them, so the concatenation is the one wire
+//! encoding. Decoding a received frame with `from_frame` reads across its
+//! segments, and the decoded `body` shares the segment it lies in: on the
+//! in-process fabrics that is the sender's own body allocation. Everything
+//! else (glue metas, trace context, forwarded references) is copied out, so
+//! a small value kept after the message is gone never pins a large frame in
+//! memory.
 
 use bytes::Bytes;
 
 use crate::ids::{ObjectId, RequestId};
 use crate::objref::ObjectReference;
 use ohpc_telemetry::TraceContext;
+use ohpc_transport::Frame;
 use ohpc_xdr::{XdrDecode, XdrEncode, XdrError, XdrReader, XdrWriter};
 
 /// Version word of the trace-context trailing extension on request frames.
@@ -26,6 +34,10 @@ use ohpc_xdr::{XdrDecode, XdrEncode, XdrError, XdrReader, XdrWriter};
 /// never reads past the body, and a new decoder treats end-of-input as "no
 /// context" and an unknown version as an opaque skip.
 pub const TRACE_EXT_VERSION: u32 = 1;
+
+/// Bytes reserved for a frame's header segment: a request or reply header
+/// without glue fits, a glued one grows the buffer once.
+const HEADER_CAPACITY: usize = 64;
 
 fn encode_trace(t: &TraceContext) -> Bytes {
     let mut w = XdrWriter::with_capacity(48 + t.baggage_bytes());
@@ -164,17 +176,18 @@ impl RequestMessage {
         XdrReader::new(raw).get_u64().ok()
     }
 
-    /// Encodes to a transport frame.
-    pub fn to_frame(&self) -> Bytes {
-        let mut w = XdrWriter::with_capacity(self.body.len() + 64);
+    /// Encodes to a transport frame of header, body and tail segments; the
+    /// body segment is `self.body` itself, not a copy.
+    pub fn to_frame(&self) -> Frame {
+        let mut w = XdrWriter::with_capacity(HEADER_CAPACITY);
         self.encode(&mut w);
-        w.finish()
+        Frame::from(w.finish_segments())
     }
 
     /// Decodes from a received transport frame. The decoded `body` shares
-    /// `frame`'s buffer rather than copying it.
-    pub fn from_frame(frame: &Bytes) -> Result<Self, XdrError> {
-        ohpc_xdr::decode_from_bytes(frame).inspect_err(|_| {
+    /// the frame segment it lies in rather than copying it.
+    pub fn from_frame(frame: &Frame) -> Result<Self, XdrError> {
+        ohpc_xdr::decode_from_segments(frame.segments()).inspect_err(|_| {
             ohpc_telemetry::inc("orb_malformed_frames_total", &[("kind", "request")]);
         })
     }
@@ -187,7 +200,7 @@ impl XdrEncode for RequestMessage {
         w.put_u32(self.method);
         w.put_bool(self.oneway);
         self.glue.encode(w);
-        w.put_opaque(&self.body);
+        w.put_opaque_bytes(self.body.clone());
         if let Some(t) = &self.trace {
             w.put_trailing_extension(TRACE_EXT_VERSION, &encode_trace(t));
         }
@@ -355,17 +368,18 @@ impl ReplyMessage {
         Self { request_id, status, glue: None, body: Bytes::new() }
     }
 
-    /// Encodes to a transport frame.
-    pub fn to_frame(&self) -> Bytes {
-        let mut w = XdrWriter::with_capacity(self.body.len() + 64);
+    /// Encodes to a transport frame of header, body and tail segments; the
+    /// body segment is `self.body` itself, not a copy.
+    pub fn to_frame(&self) -> Frame {
+        let mut w = XdrWriter::with_capacity(HEADER_CAPACITY);
         self.encode(&mut w);
-        w.finish()
+        Frame::from(w.finish_segments())
     }
 
     /// Decodes from a received transport frame. The decoded `body` shares
-    /// `frame`'s buffer rather than copying it.
-    pub fn from_frame(frame: &Bytes) -> Result<Self, XdrError> {
-        ohpc_xdr::decode_from_bytes(frame).inspect_err(|_| {
+    /// the frame segment it lies in rather than copying it.
+    pub fn from_frame(frame: &Frame) -> Result<Self, XdrError> {
+        ohpc_xdr::decode_from_segments(frame.segments()).inspect_err(|_| {
             ohpc_telemetry::inc("orb_malformed_frames_total", &[("kind", "reply")]);
         })
     }
@@ -376,7 +390,7 @@ impl XdrEncode for ReplyMessage {
         self.request_id.encode(w);
         self.status.encode(w);
         self.glue.encode(w);
-        w.put_opaque(&self.body);
+        w.put_opaque_bytes(self.body.clone());
     }
 }
 
@@ -484,7 +498,7 @@ mod tests {
         w.put_bool(false);
         false.encode(&mut w); // glue: None discriminant
         w.put_opaque(b"args");
-        assert_eq!(&req.to_frame()[..], &w.finish()[..]);
+        assert_eq!(req.to_frame().to_vec(), w.finish().to_vec());
     }
 
     #[test]
@@ -502,7 +516,7 @@ mod tests {
         let mut w = XdrWriter::new();
         w.put_trailing_extension(TRACE_EXT_VERSION + 1, b"from-the-future");
         frame.extend_from_slice(&w.finish());
-        let back = RequestMessage::from_frame(&Bytes::from(frame)).unwrap();
+        let back = RequestMessage::from_frame(&Bytes::from(frame).into()).unwrap();
         assert_eq!(back, legacy, "unknown extension decodes as no trace");
     }
 
@@ -521,7 +535,7 @@ mod tests {
         let mut w = XdrWriter::new();
         w.put_trailing_extension(TRACE_EXT_VERSION, &[0xFF; 3]);
         frame.extend_from_slice(&w.finish());
-        assert!(RequestMessage::from_frame(&Bytes::from(frame)).is_err());
+        assert!(RequestMessage::from_frame(&Bytes::from(frame).into()).is_err());
     }
 
     #[test]
@@ -598,7 +612,7 @@ mod tests {
         RequestId(1).encode(&mut w);
         w.put_u32(99); // bad tag
         let buf = w.finish();
-        assert!(ReplyMessage::from_frame(&buf).is_err());
+        assert!(ReplyMessage::from_frame(&buf.into()).is_err());
     }
 
     #[test]
@@ -612,8 +626,8 @@ mod tests {
             body: Bytes::from_static(b"some body bytes"),
             trace: None,
         };
-        let frame = req.to_frame();
-        assert!(RequestMessage::from_frame(&frame.slice(..frame.len() - 4)).is_err());
+        let frame = req.to_frame().into_contiguous();
+        assert!(RequestMessage::from_frame(&frame.slice(..frame.len() - 4).into()).is_err());
     }
 
     /// True when `inner` lies inside `outer`'s memory.
@@ -636,8 +650,15 @@ mod tests {
             body: Bytes::from(vec![0x5Au8; 4096]),
             trace: None,
         };
+        // A frame as sent: the decoded body is the sender's body segment.
         let frame = req.to_frame();
         let back = RequestMessage::from_frame(&frame).unwrap();
+        assert_eq!(back, req);
+        assert_eq!(back.body.as_ptr(), req.body.as_ptr(), "request body is the sent body");
+        // A frame as tcp delivers it, one contiguous buffer: the body
+        // points into it, and a glue meta does not.
+        let frame = req.to_frame().into_contiguous();
+        let back = RequestMessage::from_frame(&frame.clone().into()).unwrap();
         assert_eq!(back, req);
         assert!(points_into(&back.body, &frame), "request body shares the frame");
         let meta = &back.glue.as_ref().unwrap().caps[0].meta;
@@ -649,8 +670,11 @@ mod tests {
             glue: req.glue.clone(),
             body: Bytes::from(vec![0xA5u8; 4096]),
         };
-        let frame = reply.to_frame();
-        let back = ReplyMessage::from_frame(&frame).unwrap();
+        let back = ReplyMessage::from_frame(&reply.to_frame()).unwrap();
+        assert_eq!(back, reply);
+        assert_eq!(back.body.as_ptr(), reply.body.as_ptr(), "reply body is the sent body");
+        let frame = reply.to_frame().into_contiguous();
+        let back = ReplyMessage::from_frame(&frame.clone().into()).unwrap();
         assert_eq!(back, reply);
         assert!(points_into(&back.body, &frame), "reply body shares the frame");
         let meta = &back.glue.as_ref().unwrap().caps[0].meta;

@@ -30,15 +30,14 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::Bytes;
 use parking_lot::Mutex;
 
 use ohpc_nexus::{HandlerId, NexusError, Startpoint};
 use ohpc_netsim::Location;
 use ohpc_resilience::{HealthKey, HealthRegistry};
 use ohpc_transport::mux::{DeathHook, MuxChannel, MuxError};
-use ohpc_transport::{Dialer, Endpoint, RecvHalf, SendHalf};
-use ohpc_xdr::{XdrReader, XdrWriter};
+use ohpc_transport::{Dialer, Endpoint, Frame, RecvHalf, SendHalf};
+use ohpc_xdr::XdrWriter;
 
 use crate::error::OrbError;
 use crate::ids::ProtocolId;
@@ -62,8 +61,8 @@ fn endpoint_of(entry: &ProtoEntry) -> Result<Endpoint, OrbError> {
 /// Extracts the request id a reply frame is correlated by. Every
 /// [`ReplyMessage`] frame starts with its XDR-encoded `request_id`, so the
 /// demux reader routes frames without decoding the full message.
-fn reply_request_id(frame: &Bytes) -> Option<u64> {
-    XdrReader::new(frame).get_u64().ok()
+fn reply_request_id(frame: &Frame) -> Option<u64> {
+    frame.prefix().map(u64::from_be_bytes)
 }
 
 /// A proto-object speaking raw ORB frames over a transport.
@@ -211,9 +210,9 @@ impl TransportProto {
         &self,
         ep: &Endpoint,
         request_id: u64,
-        frame: &Bytes,
+        frame: &Frame,
         remaining_ns: Option<u64>,
-    ) -> Result<Bytes, OrbError> {
+    ) -> Result<Frame, OrbError> {
         for attempt in 0..2 {
             let (chan, was_cached) = self.channel(ep)?;
             match self.exchange_mux(ep, &chan, request_id, frame, remaining_ns) {
@@ -242,9 +241,9 @@ impl TransportProto {
         ep: &Endpoint,
         mux: &Arc<MuxChannel>,
         request_id: u64,
-        frame: &Bytes,
+        frame: &Frame,
         remaining_ns: Option<u64>,
-    ) -> Result<Bytes, OrbError> {
+    ) -> Result<Frame, OrbError> {
         let timeout = remaining_ns.map(Duration::from_nanos);
         match mux.call(request_id, frame, timeout) {
             Ok(reply) => Ok(reply),
@@ -464,7 +463,8 @@ impl ProtoObject for NexusProto {
     ) -> Result<ReplyMessage, OrbError> {
         let ep = endpoint_of(entry)?;
         let sp = self.startpoint(&ep)?;
-        let frame = req.to_frame();
+        // Nexus tunnels a contiguous frame.
+        let frame = req.to_frame().into_contiguous();
         let mut args = XdrWriter::with_capacity(frame.len() + 8);
         args.put_fixed_opaque(&frame);
         let deadline = remaining_ns.map(std::time::Duration::from_nanos);
@@ -481,7 +481,7 @@ impl ProtoObject for NexusProto {
                 });
             }
         };
-        let reply = ReplyMessage::from_frame(&reply_bytes)?;
+        let reply = ReplyMessage::from_frame(&Frame::from(reply_bytes))?;
         if reply.request_id != req.request_id {
             return Err(OrbError::Protocol("nexus reply id mismatch".into()));
         }
@@ -497,7 +497,8 @@ impl ProtoObject for NexusProto {
         debug_assert!(req.oneway, "oneway invocation requires the oneway wire flag");
         let ep = endpoint_of(entry)?;
         let sp = self.startpoint(&ep)?;
-        let frame = req.to_frame();
+        // Nexus tunnels a contiguous frame.
+        let frame = req.to_frame().into_contiguous();
         let mut args = XdrWriter::with_capacity(frame.len() + 8);
         args.put_fixed_opaque(&frame);
         // A genuine Nexus one-way remote service request.

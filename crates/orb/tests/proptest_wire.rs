@@ -6,6 +6,7 @@ use bytes::Bytes;
 use ohpc_orb::message::{CapWireMeta, GlueWire, ReplyMessage, ReplyStatus, RequestMessage};
 use ohpc_orb::objref::{ObjectReference, ProtoData, ProtoEntry};
 use ohpc_orb::{CapabilitySpec, Location, ObjectId, ProtocolId, RequestId};
+use ohpc_transport::Frame;
 use ohpc_xdr::{XdrDecode, XdrError, XdrReader, XdrWriter};
 use proptest::prelude::*;
 
@@ -119,10 +120,11 @@ proptest! {
     fn decoders_survive_garbage(
         data in proptest::collection::vec(any::<u8>(), 0..256),
     ) {
-        let frame = Bytes::from(data);
+        let bytes = Bytes::from(data);
+        let frame = Frame::from(bytes.clone());
         let _ = RequestMessage::from_frame(&frame);
         let _ = ReplyMessage::from_frame(&frame);
-        let _ = ObjectReference::from_bytes(&frame);
+        let _ = ObjectReference::from_bytes(&bytes);
     }
 
     #[test]
@@ -176,10 +178,10 @@ proptest! {
         cut in any::<prop::sample::Index>(),
     ) {
         let reply = ReplyMessage { request_id: RequestId(rid), status, glue, body: Bytes::from(body) };
-        let frame = reply.to_frame();
+        let frame = reply.to_frame().into_contiguous();
         let cut = cut.index(frame.len());
         prop_assert!(
-            ReplyMessage::from_frame(&frame.slice(..cut)).is_err(),
+            ReplyMessage::from_frame(&frame.slice(..cut).into()).is_err(),
             "strict prefix of length {cut}/{} decoded successfully", frame.len()
         );
     }
@@ -198,7 +200,7 @@ fn legacy_traceless_request_frame_decodes() {
     w.put_bool(true); // oneway
     w.put_bool(false); // glue: absent
     w.put_opaque(&[0xDE, 0xAD, 0xBE, 0xEF]); // body
-    let frame = w.finish();
+    let frame = Frame::from(w.finish());
 
     let req = RequestMessage::from_frame(&frame).expect("legacy frame must decode");
     assert_eq!(req.request_id, RequestId(11));

@@ -187,6 +187,16 @@ impl Histogram {
         }
     }
 
+    /// Observes `v`, linking the trace installed on this thread as the
+    /// exemplar when there is one (so the max bucket points at a causal
+    /// trace).
+    pub fn observe_in_trace(&self, v: u64) {
+        match crate::trace::current_trace_id() {
+            Some(trace_id) => self.observe_traced(v, trace_id),
+            None => self.observe(v),
+        }
+    }
+
     /// The current exemplar: the largest traced observation and its trace.
     /// `None` until some traced observation lands.
     pub fn exemplar(&self) -> Option<Exemplar> {

@@ -255,7 +255,7 @@ impl Span {
     pub fn finish(mut self) -> u64 {
         let elapsed = self.elapsed_ns();
         if let Some(h) = self.hist.take() {
-            observe_maybe_traced(&h, elapsed);
+            h.observe_in_trace(elapsed);
         }
         elapsed
     }
@@ -269,17 +269,8 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some(h) = self.hist.take() {
-            observe_maybe_traced(&h, self.clock.now_ns().saturating_sub(self.start_ns));
+            h.observe_in_trace(self.clock.now_ns().saturating_sub(self.start_ns));
         }
-    }
-}
-
-/// Observes `v`, linking the installed trace as the histogram's exemplar
-/// when one is present (so the max bucket points at a causal trace).
-fn observe_maybe_traced(h: &Histogram, v: u64) {
-    match crate::trace::current_trace_id() {
-        Some(trace_id) => h.observe_traced(v, trace_id),
-        None => h.observe(v),
     }
 }
 
@@ -306,7 +297,7 @@ pub fn span(name: &str, labels: &[(&str, &str)]) -> Span {
 /// One-shot observation of a duration already measured by the caller
 /// (exemplar-linked to the installed trace, like a [`Span`]).
 pub fn observe_ns(name: &str, labels: &[(&str, &str)], ns: u64) {
-    observe_maybe_traced(&Registry::global().histogram(name, labels), ns);
+    Registry::global().histogram(name, labels).observe_in_trace(ns);
 }
 
 // Counter-bump without holding a handle: cheap enough for cold paths

@@ -11,26 +11,36 @@
 //! * [`sim`] — in-process channels whose sends are *charged to virtual time*
 //!   through [`ohpc_netsim::SimNet`], reproducing the paper's testbed.
 //!
-//! All connections move whole frames (length ≤ [`MAX_FRAME`]); a frame is the
-//! unit the ORB's request/reply marshaling produces. Senders hand frames
-//! over as owned [`Bytes`], so an in-process fabric delivers the sender's
-//! buffer itself and never copies a frame.
+//! All connections move whole [`Frame`]s (length ≤ [`MAX_FRAME`]); a frame
+//! is the unit the ORB's request/reply marshaling produces. A frame is a
+//! short list of shared byte segments (the ORB sends header, body and tail),
+//! and senders hand frames over by value, so an in-process fabric delivers
+//! the sender's segments themselves and never copies a frame, and tcp
+//! writes all of them with one vectored write.
 
 #![warn(missing_docs)]
 
+mod frame;
 pub mod mem;
 pub mod mux;
 pub mod sim;
 pub mod tcp;
 pub mod testing;
 
+pub use frame::Frame;
+
 /// Fabric-level telemetry: every fabric funnels its send/recv outcomes
-/// through these helpers so the metric names and label sets cannot drift
-/// between mem/tcp/sim. Recording is wait-free (atomic adds into
-/// `ohpc_telemetry::Registry::global()`), so it is safe on the hot path.
+/// through one [`Instruments`](telem::Instruments) table so the metric names
+/// and label sets cannot drift between mem/tcp/sim. The table resolves its
+/// counters once, on first use; after that, recording a frame is two atomic
+/// adds into `ohpc_telemetry::Registry::global()`'s instruments, with no
+/// lookup and no lock, so it is wait-free and safe on the hot path.
 pub(crate) mod telem {
-    use super::TransportError;
-    use bytes::Bytes;
+    use std::sync::{Arc, OnceLock};
+
+    use ohpc_telemetry::Counter;
+
+    use super::{Frame, TransportError};
 
     fn fail(fabric: &'static str, op: &'static str, err: &TransportError) {
         ohpc_telemetry::inc("transport_errors_total", &[("fabric", fabric), ("op", op)]);
@@ -44,69 +54,101 @@ pub(crate) mod telem {
         }
     }
 
-    /// Record the outcome of a send of `n` bytes and pass the result through.
-    /// When the sending thread is inside an active trace scope, the send also
-    /// lands in the flight recorder as a zero-duration event.
-    pub(crate) fn track_send(
-        fabric: &'static str,
-        n: usize,
-        r: Result<(), TransportError>,
-    ) -> Result<(), TransportError> {
-        match &r {
-            Ok(()) => {
-                ohpc_telemetry::add("transport_send_bytes_total", &[("fabric", fabric)], n as u64);
-                ohpc_telemetry::inc("transport_send_frames_total", &[("fabric", fabric)]);
-                ohpc_telemetry::trace_event(
-                    "transport_send",
-                    &[("fabric", fabric), ("bytes", &n.to_string())],
-                );
-            }
-            Err(e) => {
-                fail(fabric, "send", e);
-                ohpc_telemetry::trace_event(
-                    "transport_send_error",
-                    &[("fabric", fabric), ("err", &e.to_string())],
-                );
-            }
+    /// A flight-recorder event for a frame of `n` bytes. The attribute is
+    /// only formatted when the thread is inside a trace scope, where the
+    /// event is recorded at all.
+    fn frame_event(name: &str, fabric: &'static str, n: usize) {
+        if ohpc_telemetry::current_trace_id().is_some() {
+            ohpc_telemetry::trace_event(name, &[("fabric", fabric), ("bytes", &n.to_string())]);
         }
-        r
     }
 
-    /// Record the outcome of a recv and pass the result through.
-    pub(crate) fn track_recv(
+    struct Counters {
+        send_bytes: Arc<Counter>,
+        send_frames: Arc<Counter>,
+        recv_bytes: Arc<Counter>,
+        recv_frames: Arc<Counter>,
+    }
+
+    /// One fabric's hot-path counters, held in a `static` by that fabric.
+    pub(crate) struct Instruments {
         fabric: &'static str,
-        r: Result<Bytes, TransportError>,
-    ) -> Result<Bytes, TransportError> {
-        match &r {
-            Ok(frame) => {
-                ohpc_telemetry::add(
-                    "transport_recv_bytes_total",
-                    &[("fabric", fabric)],
-                    frame.len() as u64,
-                );
-                ohpc_telemetry::inc("transport_recv_frames_total", &[("fabric", fabric)]);
-                ohpc_telemetry::trace_event(
-                    "transport_recv",
-                    &[("fabric", fabric), ("bytes", &frame.len().to_string())],
-                );
-            }
-            Err(e) => {
-                fail(fabric, "recv", e);
-                ohpc_telemetry::trace_event(
-                    "transport_recv_error",
-                    &[("fabric", fabric), ("err", &e.to_string())],
-                );
-            }
+        counters: OnceLock<Counters>,
+    }
+
+    impl Instruments {
+        pub(crate) const fn new(fabric: &'static str) -> Self {
+            Self { fabric, counters: OnceLock::new() }
         }
-        r
+
+        fn counters(&self) -> &Counters {
+            self.counters.get_or_init(|| {
+                let c = |name| ohpc_telemetry::counter(name, &[("fabric", self.fabric)]);
+                Counters {
+                    send_bytes: c("transport_send_bytes_total"),
+                    send_frames: c("transport_send_frames_total"),
+                    recv_bytes: c("transport_recv_bytes_total"),
+                    recv_frames: c("transport_recv_frames_total"),
+                }
+            })
+        }
+
+        /// Records the outcome of a send of `n` bytes and passes the result
+        /// through. When the sending thread is inside an active trace scope,
+        /// the send also lands in the flight recorder as a zero-duration
+        /// event.
+        pub(crate) fn track_send(
+            &self,
+            n: usize,
+            r: Result<(), TransportError>,
+        ) -> Result<(), TransportError> {
+            match &r {
+                Ok(()) => {
+                    let c = self.counters();
+                    c.send_bytes.add(n as u64);
+                    c.send_frames.inc();
+                    frame_event("transport_send", self.fabric, n);
+                }
+                Err(e) => {
+                    fail(self.fabric, "send", e);
+                    ohpc_telemetry::trace_event(
+                        "transport_send_error",
+                        &[("fabric", self.fabric), ("err", &e.to_string())],
+                    );
+                }
+            }
+            r
+        }
+
+        /// Records the outcome of a recv and passes the result through.
+        pub(crate) fn track_recv(
+            &self,
+            r: Result<Frame, TransportError>,
+        ) -> Result<Frame, TransportError> {
+            match &r {
+                Ok(frame) => {
+                    let c = self.counters();
+                    c.recv_bytes.add(frame.len() as u64);
+                    c.recv_frames.inc();
+                    frame_event("transport_recv", self.fabric, frame.len());
+                }
+                Err(e) => {
+                    fail(self.fabric, "recv", e);
+                    ohpc_telemetry::trace_event(
+                        "transport_recv_error",
+                        &[("fabric", self.fabric), ("err", &e.to_string())],
+                    );
+                }
+            }
+            r
+        }
     }
 }
 
-use bytes::Bytes;
 use std::fmt;
 
-/// Hard cap on a single frame: matches the XDR decoder's length limit plus
-/// slack for headers.
+/// Hard cap on a single frame (the sum of its segments): matches the XDR
+/// decoder's length limit plus slack for headers.
 pub const MAX_FRAME: usize = (64 << 20) + 4096;
 
 /// Where a listener can be reached. Carried inside Object References as
@@ -209,18 +251,23 @@ impl From<std::io::Error> for TransportError {
 
 /// A bidirectional, frame-oriented connection.
 ///
-/// Ownership contract: `send` takes the frame by value. The fabric may keep
-/// the buffer (mem and sim move it into the peer's queue, so the receiver's
-/// `recv` returns the very allocation that was sent) or only read from it
-/// (tcp writes it to the socket). Either way the sender must not expect the
-/// buffer to be copied, and a caller that still needs the frame passes a
-/// clone of the handle, which costs a reference count, not a copy. A frame
-/// that `recv` returns may share its buffer with the sender's.
+/// Ownership contract: `send` takes the [`Frame`] by value, segments and
+/// all. The fabric may keep the segments (mem and sim move the frame into
+/// the peer's queue, so the receiver's `recv` returns the very segments, and
+/// the very allocations, that were sent) or only read from them (tcp writes
+/// the length prefix and every segment with one vectored write). Either way
+/// no fabric joins or copies the segments, so a sender can put a large body
+/// in a frame as its own segment, shared rather than copied; a caller that
+/// still needs the frame passes a clone, which costs a reference count per
+/// segment, not a copy. A frame that `recv` returns may share its segments
+/// with the sender's, and may be cut into segments differently from how it
+/// was sent (tcp delivers one contiguous segment): only the concatenated
+/// bytes are the message.
 pub trait Connection: Send {
     /// Sends one frame, taking ownership of it (see the trait docs).
-    fn send(&mut self, frame: Bytes) -> Result<(), TransportError>;
+    fn send(&mut self, frame: Frame) -> Result<(), TransportError>;
     /// Receives one frame, blocking until available or the peer closes.
-    fn recv(&mut self) -> Result<Bytes, TransportError>;
+    fn recv(&mut self) -> Result<Frame, TransportError>;
 
     /// Splits this connection into independent send/receive halves, so one
     /// thread can block in `recv` while others send — the prerequisite for
@@ -242,11 +289,11 @@ pub trait Connection: Send {
 }
 
 /// The sending half of a split [`Connection`]. Same ownership contract as
-/// [`Connection::send`]: the frame is handed over, never copied by the
-/// in-process fabrics.
+/// [`Connection::send`]: the frame's segments are handed over, never joined
+/// or copied by the in-process fabrics.
 pub trait SendHalf: Send {
     /// Sends one frame, taking ownership of it.
-    fn send(&mut self, frame: Bytes) -> Result<(), TransportError>;
+    fn send(&mut self, frame: Frame) -> Result<(), TransportError>;
     /// Tears the connection down so the peer (and the paired
     /// [`RecvHalf`], possibly blocked in `recv` on another thread) observes
     /// [`TransportError::Closed`].
@@ -256,7 +303,7 @@ pub trait SendHalf: Send {
 /// The receiving half of a split [`Connection`].
 pub trait RecvHalf: Send {
     /// Receives one frame, blocking until available or the peer closes.
-    fn recv(&mut self) -> Result<Bytes, TransportError>;
+    fn recv(&mut self) -> Result<Frame, TransportError>;
 }
 
 impl fmt::Debug for dyn Connection + '_ {
@@ -345,10 +392,10 @@ mod tests {
     fn recv_timeout_defaults_to_unsupported() {
         struct Fixed;
         impl Connection for Fixed {
-            fn send(&mut self, _frame: Bytes) -> Result<(), TransportError> {
+            fn send(&mut self, _frame: Frame) -> Result<(), TransportError> {
                 Ok(())
             }
-            fn recv(&mut self) -> Result<Bytes, TransportError> {
+            fn recv(&mut self) -> Result<Frame, TransportError> {
                 Err(TransportError::Closed)
             }
             fn split(self: Box<Self>) -> (Box<dyn SendHalf>, Box<dyn RecvHalf>) {

@@ -2,8 +2,8 @@
 //!
 //! A [`MemFabric`] is a rendezvous namespace. Listeners bind a key; dialers
 //! connect by key and the fabric hands both sides a pair of unbounded
-//! crossbeam channels. A sent frame is moved into the channel as the
-//! sender's own [`Bytes`]: the receiver gets the same allocation, with no
+//! crossbeam channels. A sent [`Frame`] is moved into the channel as is:
+//! the receiver gets the sender's segments, the same allocations, with no
 //! copy and no refcount traffic on the way. That is the property that makes
 //! the shared-memory protocol an order of magnitude faster than the network
 //! paths in Figure 5.
@@ -12,38 +12,40 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
 use crate::{
-    telem, Connection, Dialer, Endpoint, Listener, RecvHalf, SendHalf, TransportError, MAX_FRAME,
+    telem, Connection, Dialer, Endpoint, Frame, Listener, RecvHalf, SendHalf, TransportError,
+    MAX_FRAME,
 };
+
+static TELEM: telem::Instruments = telem::Instruments::new("mem");
 
 /// One side of an established connection.
 pub struct MemConnection {
-    tx: Sender<Bytes>,
-    rx: Receiver<Bytes>,
+    tx: Sender<Frame>,
+    rx: Receiver<Frame>,
     recv_timeout: Option<std::time::Duration>,
 }
 
 /// Moves `frame` into the peer's queue, enforcing [`MAX_FRAME`].
-fn send_frame(tx: Option<&Sender<Bytes>>, frame: Bytes) -> Result<(), TransportError> {
+fn send_frame(tx: Option<&Sender<Frame>>, frame: Frame) -> Result<(), TransportError> {
     let n = frame.len();
     let r = match tx {
         None => Err(TransportError::Closed),
         Some(_) if n > MAX_FRAME => Err(TransportError::FrameTooLarge(n)),
         Some(tx) => tx.send(frame).map_err(|_| TransportError::Closed),
     };
-    telem::track_send("mem", n, r)
+    TELEM.track_send(n, r)
 }
 
 impl Connection for MemConnection {
-    fn send(&mut self, frame: Bytes) -> Result<(), TransportError> {
+    fn send(&mut self, frame: Frame) -> Result<(), TransportError> {
         send_frame(Some(&self.tx), frame)
     }
 
-    fn recv(&mut self) -> Result<Bytes, TransportError> {
+    fn recv(&mut self) -> Result<Frame, TransportError> {
         let r = match self.recv_timeout {
             None => self.rx.recv().map_err(|_| TransportError::Closed),
             Some(d) => self.rx.recv_timeout(d).map_err(|e| match e {
@@ -51,7 +53,7 @@ impl Connection for MemConnection {
                 RecvTimeoutError::Disconnected => TransportError::Closed,
             }),
         };
-        telem::track_recv("mem", r)
+        TELEM.track_recv(r)
     }
 
     /// Mem splits by handing each channel end to its half. Teardown chains
@@ -70,11 +72,11 @@ impl Connection for MemConnection {
 
 /// Sending half of a split [`MemConnection`].
 pub struct MemSendHalf {
-    tx: Option<Sender<Bytes>>,
+    tx: Option<Sender<Frame>>,
 }
 
 impl SendHalf for MemSendHalf {
-    fn send(&mut self, frame: Bytes) -> Result<(), TransportError> {
+    fn send(&mut self, frame: Frame) -> Result<(), TransportError> {
         send_frame(self.tx.as_ref(), frame)
     }
 
@@ -85,12 +87,12 @@ impl SendHalf for MemSendHalf {
 
 /// Receiving half of a split [`MemConnection`].
 pub struct MemRecvHalf {
-    rx: Receiver<Bytes>,
+    rx: Receiver<Frame>,
 }
 
 impl RecvHalf for MemRecvHalf {
-    fn recv(&mut self) -> Result<Bytes, TransportError> {
-        telem::track_recv("mem", self.rx.recv().map_err(|_| TransportError::Closed))
+    fn recv(&mut self) -> Result<Frame, TransportError> {
+        TELEM.track_recv(self.rx.recv().map_err(|_| TransportError::Closed))
     }
 }
 
@@ -205,6 +207,7 @@ impl Drop for MemListener {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
 
     #[test]
     fn dial_listen_roundtrip() {
@@ -215,14 +218,14 @@ mod tests {
         let f2 = fabric.clone();
         let h = std::thread::spawn(move || {
             let mut c = f2.dial(&ep).unwrap();
-            c.send(Bytes::from_static(b"ping")).unwrap();
+            c.send(Bytes::from_static(b"ping").into()).unwrap();
             c.recv().unwrap()
         });
 
         let mut server = listener.accept().unwrap();
-        assert_eq!(&server.recv().unwrap()[..], b"ping");
-        server.send(Bytes::from_static(b"pong")).unwrap();
-        assert_eq!(&h.join().unwrap()[..], b"pong");
+        assert_eq!(server.recv().unwrap().to_vec(), b"ping");
+        server.send(Bytes::from_static(b"pong").into()).unwrap();
+        assert_eq!(h.join().unwrap().to_vec(), b"pong");
     }
 
     #[test]
@@ -234,17 +237,30 @@ mod tests {
         let mut server = listener.accept().unwrap();
         let frame = Bytes::from(vec![0xA5u8; 1 << 16]);
         let sent_at = frame.as_ptr();
-        c.send(frame).unwrap();
+        c.send(frame.into()).unwrap();
         let got = server.recv().unwrap();
-        assert_eq!(got.as_ptr(), sent_at, "the receiver holds the sent buffer, not a copy");
+        assert_eq!(got.segments()[0].as_ptr(), sent_at, "the receiver holds the sent buffer, not a copy");
         assert_eq!(got.len(), 1 << 16);
+
+        // A frame of several segments arrives as those same segments.
+        let segs = vec![
+            Bytes::from(vec![1u8; 12]),
+            Bytes::from(vec![2u8; 1 << 16]),
+            Bytes::from(vec![3u8; 4]),
+        ];
+        let sent: Vec<_> = segs.iter().map(|s| s.as_ptr()).collect();
+        c.send(Frame::from(segs)).unwrap();
+        let got = server.recv().unwrap();
+        assert_eq!(got.len(), 12 + (1 << 16) + 4);
+        let received: Vec<_> = got.segments().iter().map(|s| s.as_ptr()).collect();
+        assert_eq!(received, sent, "every segment is the sender's allocation");
 
         // The split halves move frames the same way.
         let (mut tx, _rx) = c.split();
         let frame = Bytes::from(vec![1u8; 64]);
         let sent_at = frame.as_ptr();
-        tx.send(frame).unwrap();
-        assert_eq!(server.recv().unwrap().as_ptr(), sent_at);
+        tx.send(frame.into()).unwrap();
+        assert_eq!(server.recv().unwrap().segments()[0].as_ptr(), sent_at);
     }
 
     #[test]
@@ -274,7 +290,7 @@ mod tests {
         let mut server = listener.accept().unwrap();
         drop(c);
         assert_eq!(server.recv().unwrap_err(), TransportError::Closed);
-        assert_eq!(server.send(Bytes::from_static(b"x")).unwrap_err(), TransportError::Closed);
+        assert_eq!(server.send(Bytes::from_static(b"x").into()).unwrap_err(), TransportError::Closed);
     }
 
     #[test]
@@ -314,7 +330,11 @@ mod tests {
         let mut c = fabric.dial(&ep).unwrap();
         let _s = listener.accept().unwrap();
         let big = vec![0u8; MAX_FRAME + 1];
-        assert!(matches!(c.send(Bytes::from(big)).unwrap_err(), TransportError::FrameTooLarge(_)));
+        assert!(matches!(c.send(Bytes::from(big).into()).unwrap_err(), TransportError::FrameTooLarge(_)));
+        // The bound applies to the sum of the segments.
+        let half = Bytes::from(vec![0u8; MAX_FRAME / 2 + 1]);
+        let err = c.send(Frame::from(vec![half.clone(), half])).unwrap_err();
+        assert!(matches!(err, TransportError::FrameTooLarge(_)));
     }
 
     #[test]
@@ -324,10 +344,10 @@ mod tests {
         let ep = listener.endpoint();
         let (mut tx, mut rx) = fabric.dial(&ep).unwrap().split();
         let mut server = listener.accept().unwrap();
-        tx.send(Bytes::from_static(b"halved")).unwrap();
-        assert_eq!(&server.recv().unwrap()[..], b"halved");
-        server.send(Bytes::from_static(b"ok")).unwrap();
-        assert_eq!(&rx.recv().unwrap()[..], b"ok");
+        tx.send(Bytes::from_static(b"halved").into()).unwrap();
+        assert_eq!(server.recv().unwrap().to_vec(), b"halved");
+        server.send(Bytes::from_static(b"ok").into()).unwrap();
+        assert_eq!(rx.recv().unwrap().to_vec(), b"ok");
         // Close chain: our send half closes -> server's recv errors -> the
         // test drops the server conn -> our reader unblocks with Closed.
         let reader = std::thread::spawn(move || rx.recv());
@@ -335,7 +355,7 @@ mod tests {
         assert_eq!(server.recv().unwrap_err(), TransportError::Closed);
         drop(server);
         assert_eq!(reader.join().unwrap().unwrap_err(), TransportError::Closed);
-        assert!(matches!(tx.send(Bytes::from_static(b"late")).unwrap_err(), TransportError::Closed));
+        assert!(matches!(tx.send(Bytes::from_static(b"late").into()).unwrap_err(), TransportError::Closed));
     }
 
     #[test]
@@ -347,8 +367,8 @@ mod tests {
         let mut server = listener.accept().unwrap();
         assert!(c.set_recv_timeout(Some(std::time::Duration::from_millis(20))));
         assert_eq!(c.recv().unwrap_err(), TransportError::Timeout);
-        server.send(Bytes::from_static(b"now")).unwrap();
-        assert_eq!(&c.recv().unwrap()[..], b"now");
+        server.send(Bytes::from_static(b"now").into()).unwrap();
+        assert_eq!(c.recv().unwrap().to_vec(), b"now");
         assert!(c.set_recv_timeout(None));
     }
 
@@ -360,10 +380,10 @@ mod tests {
         let mut c = fabric.dial(&ep).unwrap();
         let mut s = listener.accept().unwrap();
         for i in 0..100u32 {
-            c.send(Bytes::copy_from_slice(&i.to_be_bytes())).unwrap();
+            c.send(Bytes::copy_from_slice(&i.to_be_bytes()).into()).unwrap();
         }
         for i in 0..100u32 {
-            assert_eq!(&s.recv().unwrap()[..], &i.to_be_bytes());
+            assert_eq!(s.recv().unwrap().to_vec(), &i.to_be_bytes());
         }
     }
 
@@ -375,7 +395,7 @@ mod tests {
         let mut clients: Vec<_> = (0..4u32)
             .map(|i| {
                 let mut c = fabric.dial(&ep).unwrap();
-                c.send(Bytes::copy_from_slice(&i.to_be_bytes())).unwrap();
+                c.send(Bytes::copy_from_slice(&i.to_be_bytes()).into()).unwrap();
                 c
             })
             .collect();
@@ -383,14 +403,14 @@ mod tests {
         let mut servers = Vec::new();
         for _ in 0..4 {
             let mut s = listener.accept().unwrap();
-            seen.push(u32::from_be_bytes(s.recv().unwrap()[..4].try_into().unwrap()));
+            seen.push(u32::from_be_bytes(s.recv().unwrap().prefix().unwrap()));
             servers.push(s);
         }
         seen.sort();
         assert_eq!(seen, vec![0, 1, 2, 3]);
         for c in clients.iter_mut() {
             // all client halves still alive
-            assert!(c.send(Bytes::from_static(b"ok")).is_ok());
+            assert!(c.send(Bytes::from_static(b"ok").into()).is_ok());
         }
     }
 }

@@ -31,16 +31,16 @@ use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use ohpc_telemetry::{Counter, Gauge, Histogram};
 use parking_lot::Mutex;
 
-use crate::{RecvHalf, SendHalf, TransportError};
+use crate::{Frame, RecvHalf, SendHalf, TransportError};
 
 /// Extracts the correlation id from a reply frame (`None` for frames that
 /// carry no recognizable id — like a reply to an unknown id, they kill the
 /// channel).
-pub type Correlator = Box<dyn Fn(&Bytes) -> Option<u64> + Send + Sync>;
+pub type Correlator = Box<dyn Fn(&Frame) -> Option<u64> + Send + Sync>;
 
 /// Invoked (once) when the reader thread dies from a transport error —
 /// *not* on deliberate [`MuxChannel::shutdown`]. Owners feed this into
@@ -82,7 +82,7 @@ impl std::fmt::Display for MuxError {
 const MAX_TIMED_OUT: usize = 1024;
 
 /// Reply slot: the one-shot channel a caller waits on.
-type ReplySender = Sender<Result<Bytes, TransportError>>;
+type ReplySender = Sender<Result<Frame, TransportError>>;
 
 /// A registered waiter: its reply channel plus the trace context that was
 /// current on the calling thread at registration. The demux reader thread
@@ -110,6 +110,13 @@ pub struct MuxChannel {
     pending: Mutex<PendingState>,
     in_flight: AtomicI64,
     closing: AtomicBool,
+    /// Per-call instruments, resolved once at spawn so a call records
+    /// without a registry lookup. The flight-recorder events format their
+    /// attributes only inside a trace scope, where they are recorded.
+    in_flight_gauge: Arc<Gauge>,
+    requests_total: Arc<Counter>,
+    oneways_total: Arc<Counter>,
+    demux_wait_ns: Arc<Histogram>,
 }
 
 impl MuxChannel {
@@ -135,6 +142,10 @@ impl MuxChannel {
             }),
             in_flight: AtomicI64::new(0),
             closing: AtomicBool::new(false),
+            in_flight_gauge: ohpc_telemetry::gauge("mux_in_flight", &[]),
+            requests_total: ohpc_telemetry::counter("mux_requests_total", &[]),
+            oneways_total: ohpc_telemetry::counter("mux_oneways_total", &[]),
+            demux_wait_ns: ohpc_telemetry::histogram("mux_demux_wait_ns", &[]),
         });
         let reader_chan = chan.clone();
         std::thread::spawn(move || reader_loop(reader_chan, recv, correlator, on_death));
@@ -145,40 +156,38 @@ impl MuxChannel {
     /// lock held only for the send), and waits — up to `timeout`, forever
     /// with `None` — for the reader thread to deliver the correlated reply.
     /// The frame is borrowed so a caller can retry with it; the fabric gets
-    /// a clone of the handle, not a copy of the bytes.
+    /// a clone of its segment handles, not a copy of the bytes.
     pub fn call(
         &self,
         id: u64,
-        frame: &Bytes,
+        frame: &Frame,
         timeout: Option<Duration>,
-    ) -> Result<Bytes, MuxError> {
+    ) -> Result<Frame, MuxError> {
         let rx = self.register(id)?;
         if let Err(e) = self.send_frame(frame) {
             // The frame never went out; the waiter slot must not linger.
             self.unregister(id, false);
             return Err(MuxError::Unsent(e));
         }
-        ohpc_telemetry::inc("mux_requests_total", &[]);
+        self.requests_total.inc();
         let t0 = Instant::now();
         let outcome = self.wait(id, &rx, timeout);
-        ohpc_telemetry::observe_ns(
-            "mux_demux_wait_ns",
-            &[],
-            t0.elapsed().as_nanos() as u64,
-        );
+        self.demux_wait_ns.observe_in_trace(t0.elapsed().as_nanos() as u64);
         outcome
     }
 
     /// Sends a frame that expects no reply (one-way requests). Failure is
     /// always [`MuxError::Unsent`]: a one-way either left the process or it
     /// did not. Like [`call`](Self::call), sends a clone of the handle.
-    pub fn send_only(&self, frame: &Bytes) -> Result<(), MuxError> {
+    pub fn send_only(&self, frame: &Frame) -> Result<(), MuxError> {
         if let Some(e) = self.dead_error() {
             return Err(MuxError::Unsent(e));
         }
         self.send_frame(frame).map_err(MuxError::Unsent)?;
-        ohpc_telemetry::inc("mux_oneways_total", &[]);
-        ohpc_telemetry::trace_event("mux_send_oneway", &[("bytes", &frame.len().to_string())]);
+        self.oneways_total.inc();
+        if ohpc_telemetry::current_trace_id().is_some() {
+            ohpc_telemetry::trace_event("mux_send_oneway", &[("bytes", &frame.len().to_string())]);
+        }
         Ok(())
     }
 
@@ -213,7 +222,7 @@ impl MuxChannel {
     /// Registers a waiter slot. The dead-check and the insert happen under
     /// one lock acquisition, so a concurrently dying reader either fails
     /// this registration or drains it — a waiter can never be stranded.
-    fn register(&self, id: u64) -> Result<Receiver<Result<Bytes, TransportError>>, MuxError> {
+    fn register(&self, id: u64) -> Result<Receiver<Result<Frame, TransportError>>, MuxError> {
         let (tx, rx) = unbounded();
         let mut st = self.pending.lock();
         if let Some(e) = st.dead.clone() {
@@ -227,7 +236,7 @@ impl MuxChannel {
         st.waiters.insert(id, Waiter { tx, trace: ohpc_telemetry::current() });
         drop(st);
         let now = self.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-        ohpc_telemetry::gauge("mux_in_flight", &[]).set(now);
+        self.in_flight_gauge.set(now);
         Ok(rx)
     }
 
@@ -249,13 +258,13 @@ impl MuxChannel {
         };
         if removed {
             let now = self.in_flight.fetch_sub(1, Ordering::Relaxed) - 1;
-            ohpc_telemetry::gauge("mux_in_flight", &[]).set(now);
+            self.in_flight_gauge.set(now);
         }
         removed
     }
 
     /// The framed send; the writer lock is held only for this.
-    fn send_frame(&self, frame: &Bytes) -> Result<(), TransportError> {
+    fn send_frame(&self, frame: &Frame) -> Result<(), TransportError> {
         // ohpc-analyze: allow(guard-across-blocking) — the sender mutex
         // exists precisely to serialize whole frames onto the shared wire;
         // it guards nothing else and is held for exactly one send.
@@ -269,9 +278,9 @@ impl MuxChannel {
     fn wait(
         &self,
         id: u64,
-        rx: &Receiver<Result<Bytes, TransportError>>,
+        rx: &Receiver<Result<Frame, TransportError>>,
         timeout: Option<Duration>,
-    ) -> Result<Bytes, MuxError> {
+    ) -> Result<Frame, MuxError> {
         let resolved = match timeout {
             None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
             Some(d) => rx.recv_timeout(d),
@@ -304,7 +313,7 @@ impl MuxChannel {
 
     /// Routes one reply frame to its waiter (reader thread only). Returns
     /// false when the id matches neither a waiter nor a timed-out request.
-    fn deliver(&self, id: u64, frame: Bytes) -> bool {
+    fn deliver(&self, id: u64, frame: Frame) -> bool {
         let slot = {
             let mut st = self.pending.lock();
             let slot = st.waiters.remove(&id);
@@ -319,7 +328,7 @@ impl MuxChannel {
         match slot {
             Some(w) => {
                 let now = self.in_flight.fetch_sub(1, Ordering::Relaxed) - 1;
-                ohpc_telemetry::gauge("mux_in_flight", &[]).set(now);
+                self.in_flight_gauge.set(now);
                 // The fabric's own recv event fired on this reader thread,
                 // outside any trace; the reply's hop is recorded here, in
                 // the trace of the caller it belongs to.
@@ -354,7 +363,7 @@ impl MuxChannel {
             let now =
                 self.in_flight.fetch_sub(drained.len() as i64, Ordering::Relaxed)
                     - drained.len() as i64;
-            ohpc_telemetry::gauge("mux_in_flight", &[]).set(now);
+            self.in_flight_gauge.set(now);
         }
         for tx in drained {
             let _ = tx.send(Err(cause.clone()));
@@ -391,14 +400,15 @@ fn reader_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
 
     /// Loopback halves over crossbeam channels, so the mux is testable
     /// without any real fabric.
     struct TestSend {
-        tx: Option<Sender<Bytes>>,
+        tx: Option<Sender<Frame>>,
     }
     impl SendHalf for TestSend {
-        fn send(&mut self, frame: Bytes) -> Result<(), TransportError> {
+        fn send(&mut self, frame: Frame) -> Result<(), TransportError> {
             match &self.tx {
                 None => Err(TransportError::Closed),
                 Some(tx) => tx.send(frame).map_err(|_| TransportError::Closed),
@@ -409,26 +419,24 @@ mod tests {
         }
     }
     struct TestRecv {
-        rx: Receiver<Bytes>,
+        rx: Receiver<Frame>,
     }
     impl RecvHalf for TestRecv {
-        fn recv(&mut self) -> Result<Bytes, TransportError> {
+        fn recv(&mut self) -> Result<Frame, TransportError> {
             self.rx.recv().map_err(|_| TransportError::Closed)
         }
     }
 
-    fn id_of(frame: &Bytes) -> Option<u64> {
-        frame.get(..8).map(|b| {
-            let mut buf = [0u8; 8];
-            buf.copy_from_slice(b);
-            u64::from_be_bytes(buf)
-        })
+    fn id_of(frame: &Frame) -> Option<u64> {
+        frame.prefix().map(u64::from_be_bytes)
     }
 
-    fn frame(id: u64, body: &[u8]) -> Bytes {
-        let mut f = id.to_be_bytes().to_vec();
-        f.extend_from_slice(body);
-        Bytes::from(f)
+    /// A two-segment frame: the id, then the body.
+    fn frame(id: u64, body: &[u8]) -> Frame {
+        Frame::from(vec![
+            Bytes::copy_from_slice(&id.to_be_bytes()),
+            Bytes::copy_from_slice(body),
+        ])
     }
 
     /// Spawns a mux over an echo "server" thread that reverses bodies and,
@@ -436,21 +444,21 @@ mod tests {
     /// are queued — exercising out-of-order demux. The returned receiver
     /// yields one signal per request frame the server has received.
     fn echo_mux(batch: usize) -> (Arc<MuxChannel>, Receiver<()>) {
-        let (req_tx, req_rx) = unbounded::<Bytes>();
-        let (rep_tx, rep_rx) = unbounded::<Bytes>();
+        let (req_tx, req_rx) = unbounded::<Frame>();
+        let (rep_tx, rep_rx) = unbounded::<Frame>();
         let (arrived_tx, arrived_rx) = unbounded::<()>();
         std::thread::spawn(move || {
-            let mut queued: Vec<Bytes> = Vec::new();
+            let mut queued: Vec<Vec<u8>> = Vec::new();
             while let Ok(f) = req_rx.recv() {
                 let _ = arrived_tx.send(());
-                queued.push(f);
+                queued.push(f.to_vec());
                 if queued.len() >= batch {
                     for f in queued.drain(..).rev() {
                         let mut body = f[8..].to_vec();
                         body.reverse();
                         let mut out = f[..8].to_vec();
                         out.extend_from_slice(&body);
-                        if rep_tx.send(Bytes::from(out)).is_err() {
+                        if rep_tx.send(Bytes::from(out).into()).is_err() {
                             return;
                         }
                     }
@@ -476,7 +484,7 @@ mod tests {
                     let body = format!("body-{i}");
                     let reply = mux.call(i, &frame(i, body.as_bytes()), None).unwrap();
                     let expect: String = body.chars().rev().collect();
-                    assert_eq!(&reply[8..], expect.as_bytes(), "caller {i} got its own reply");
+                    assert_eq!(&reply.to_vec()[8..], expect.as_bytes(), "caller {i} got its own reply");
                 })
             })
             .collect();
@@ -490,8 +498,8 @@ mod tests {
     #[test]
     fn reader_death_fails_all_waiters() {
         // "Server" that swallows everything, then hangs up.
-        let (req_tx, req_rx) = unbounded::<Bytes>();
-        let (rep_tx, rep_rx) = unbounded::<Bytes>();
+        let (req_tx, req_rx) = unbounded::<Frame>();
+        let (rep_tx, rep_rx) = unbounded::<Frame>();
         let deaths = Arc::new(AtomicI64::new(0));
         let d2 = deaths.clone();
         std::thread::spawn(move || {
@@ -559,7 +567,7 @@ mod tests {
         // A second call releases the batch; its own reply still routes fine
         // even though the first (orphaned) reply arrives alongside it.
         let reply = mux.call(2, &frame(2, b"ab"), None).unwrap();
-        assert_eq!(&reply[8..], b"ba");
+        assert_eq!(&reply.to_vec()[8..], b"ba");
         mux.shutdown();
     }
 
@@ -582,8 +590,8 @@ mod tests {
     fn never_issued_reply_id_fails_every_waiter() {
         // "Server" that answers the third request with an id nobody issued,
         // as a corrupted reply would carry.
-        let (req_tx, req_rx) = unbounded::<Bytes>();
-        let (rep_tx, rep_rx) = unbounded::<Bytes>();
+        let (req_tx, req_rx) = unbounded::<Frame>();
+        let (rep_tx, rep_rx) = unbounded::<Frame>();
         let deaths = Arc::new(AtomicI64::new(0));
         let d2 = deaths.clone();
         let server = std::thread::spawn(move || {

@@ -12,15 +12,17 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use ohpc_netsim::{MachineId, SimNet};
 
 use crate::{
-    telem, Connection, Dialer, Endpoint, Listener, RecvHalf, SendHalf, TransportError, MAX_FRAME,
+    telem, Connection, Dialer, Endpoint, Frame, Listener, RecvHalf, SendHalf, TransportError,
+    MAX_FRAME,
 };
+
+static TELEM: telem::Instruments = telem::Instruments::new("sim");
 
 /// Per-frame protocol envelope charged to the wire in addition to payload
 /// bytes (IP + TCP header class of overhead).
@@ -145,11 +147,11 @@ pub struct SimConnection {
 }
 
 impl Connection for SimConnection {
-    fn send(&mut self, frame: Bytes) -> Result<(), TransportError> {
+    fn send(&mut self, frame: Frame) -> Result<(), TransportError> {
         self.send.send(frame)
     }
 
-    fn recv(&mut self) -> Result<Bytes, TransportError> {
+    fn recv(&mut self) -> Result<Frame, TransportError> {
         self.recv.recv()
     }
 
@@ -164,13 +166,13 @@ pub struct SimSendHalf {
     net: SimNet,
     local: MachineId,
     remote: MachineId,
-    tx: Option<Sender<Bytes>>,
+    tx: Option<Sender<Frame>>,
 }
 
 impl SendHalf for SimSendHalf {
     /// The frame is moved into the peer's queue, as on the mem fabric; only
     /// its length reaches the simulated wire.
-    fn send(&mut self, frame: Bytes) -> Result<(), TransportError> {
+    fn send(&mut self, frame: Frame) -> Result<(), TransportError> {
         let n = frame.len();
         let r = match &self.tx {
             None => Err(TransportError::Closed),
@@ -189,7 +191,7 @@ impl SendHalf for SimSendHalf {
                 Err(fault) => Err(TransportError::Io(format!("timed out: {fault}"))),
             },
         };
-        telem::track_send("sim", n, r)
+        TELEM.track_send(n, r)
     }
 
     /// Drops the sender, so the peer's `recv` sees `Closed`.
@@ -200,12 +202,12 @@ impl SendHalf for SimSendHalf {
 
 /// Receiving half of a [`SimConnection`].
 pub struct SimRecvHalf {
-    rx: Receiver<Bytes>,
+    rx: Receiver<Frame>,
 }
 
 impl RecvHalf for SimRecvHalf {
-    fn recv(&mut self) -> Result<Bytes, TransportError> {
-        telem::track_recv("sim", self.rx.recv().map_err(|_| TransportError::Closed))
+    fn recv(&mut self) -> Result<Frame, TransportError> {
+        TELEM.track_recv(self.rx.recv().map_err(|_| TransportError::Closed))
     }
 }
 
@@ -247,6 +249,7 @@ impl Drop for SimListener {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use ohpc_netsim::{figure4_cluster, LinkProfile, SimTime};
 
     fn fabric() -> (SimFabric, [MachineId; 4]) {
@@ -264,7 +267,7 @@ mod tests {
         let t0 = fabric.net().clock().now();
         let mut c = dialer.dial(&ep).unwrap();
         let mut s = listener.accept().unwrap();
-        c.send(Bytes::from(vec![7u8; 125_000])).unwrap();
+        c.send(Bytes::from(vec![7u8; 125_000]).into()).unwrap();
         assert_eq!(s.recv().unwrap().len(), 125_000);
         let elapsed = fabric.net().clock().now().saturating_sub(t0);
         // 125 KB at 135 Mbps ≈ 7.4 ms; must be in a sane band.
@@ -281,7 +284,7 @@ mod tests {
         let mut c = fabric.dialer(m0).dial(&remote_listener.endpoint()).unwrap();
         let mut s = remote_listener.accept().unwrap();
         let t0 = fabric.net().clock().now();
-        c.send(Bytes::from(vec![1u8; bytes])).unwrap();
+        c.send(Bytes::from(vec![1u8; bytes]).into()).unwrap();
         s.recv().unwrap();
         let remote_time = fabric.net().clock().now().saturating_sub(t0);
 
@@ -289,7 +292,7 @@ mod tests {
         let mut c2 = fabric.dialer(m0).dial(&local_listener.endpoint()).unwrap();
         let mut s2 = local_listener.accept().unwrap();
         let t1 = fabric.net().clock().now();
-        c2.send(Bytes::from(vec![1u8; bytes])).unwrap();
+        c2.send(Bytes::from(vec![1u8; bytes]).into()).unwrap();
         s2.recv().unwrap();
         let local_time = fabric.net().clock().now().saturating_sub(t1);
 
@@ -337,23 +340,23 @@ mod tests {
         // Established connection first, then the partition hits.
         let mut c = fabric.dialer(m0).dial(&ep).unwrap();
         let mut s = listener.accept().unwrap();
-        c.send(Bytes::from_static(b"before")).unwrap();
-        assert_eq!(&s.recv().unwrap()[..], b"before");
+        c.send(Bytes::from_static(b"before").into()).unwrap();
+        assert_eq!(s.recv().unwrap().to_vec(), b"before");
 
         fabric.net().partition(m0, m3);
-        let err = c.send(Bytes::from_static(b"during")).unwrap_err();
+        let err = c.send(Bytes::from_static(b"during").into()).unwrap_err();
         assert!(
             matches!(&err, TransportError::Io(m) if m.contains("timed out")),
             "partition must look like a timeout, got {err:?}"
         );
         // New dials fail the same way; the reverse direction too.
         assert!(fabric.dialer(m0).dial(&ep).is_err());
-        assert!(matches!(s.send(Bytes::from_static(b"reply")), Err(TransportError::Io(_))));
+        assert!(matches!(s.send(Bytes::from_static(b"reply").into()), Err(TransportError::Io(_))));
 
         // Heal: established connection works again without re-dialing.
         fabric.net().heal(m0, m3);
-        c.send(Bytes::from_static(b"after")).unwrap();
-        assert_eq!(&s.recv().unwrap()[..], b"after");
+        c.send(Bytes::from_static(b"after").into()).unwrap();
+        assert_eq!(s.recv().unwrap().to_vec(), b"after");
     }
 
     #[test]
@@ -366,8 +369,8 @@ mod tests {
         fabric.net().restart(m3);
         let mut c = fabric.dialer(m0).dial(&ep).unwrap();
         let mut s = listener.accept().unwrap();
-        c.send(Bytes::from_static(b"up again")).unwrap();
-        assert_eq!(&s.recv().unwrap()[..], b"up again");
+        c.send(Bytes::from_static(b"up again").into()).unwrap();
+        assert_eq!(s.recv().unwrap().to_vec(), b"up again");
     }
 
     #[test]
@@ -377,10 +380,10 @@ mod tests {
         let ep = listener.endpoint();
         let mut c = fabric.dialer(m0).dial(&ep).unwrap();
         let mut s = listener.accept().unwrap();
-        c.send(Bytes::from_static(b"req")).unwrap();
+        c.send(Bytes::from_static(b"req").into()).unwrap();
         s.recv().unwrap();
         let t_mid = fabric.net().clock().now();
-        s.send(Bytes::from(vec![9u8; 125_000])).unwrap();
+        s.send(Bytes::from(vec![9u8; 125_000]).into()).unwrap();
         c.recv().unwrap();
         let t_end = fabric.net().clock().now();
         assert!(t_end > t_mid, "reply transfer must consume virtual time");
@@ -395,16 +398,16 @@ mod tests {
         let (mut s_tx, mut s_rx) = listener.accept().unwrap().split();
 
         let t0 = fabric.net().clock().now();
-        c_tx.send(Bytes::from_static(b"req")).unwrap();
-        assert_eq!(&s_rx.recv().unwrap()[..], b"req");
+        c_tx.send(Bytes::from_static(b"req").into()).unwrap();
+        assert_eq!(s_rx.recv().unwrap().to_vec(), b"req");
         let t_mid = fabric.net().clock().now();
         assert!(t_mid > t0, "request transfer must consume virtual time");
-        s_tx.send(Bytes::from(vec![9u8; 125_000])).unwrap();
+        s_tx.send(Bytes::from(vec![9u8; 125_000]).into()).unwrap();
         assert_eq!(c_rx.recv().unwrap().len(), 125_000);
         assert!(fabric.net().clock().now() > t_mid, "reply transfer must consume virtual time");
 
         fabric.net().partition(m0, m3);
-        let err = s_tx.send(Bytes::from_static(b"reply")).unwrap_err();
+        let err = s_tx.send(Bytes::from_static(b"reply").into()).unwrap_err();
         assert!(
             matches!(&err, TransportError::Io(m) if m.contains("timed out")),
             "partition must look like a timeout, got {err:?}"
@@ -413,6 +416,6 @@ mod tests {
 
         s_tx.close();
         assert_eq!(c_rx.recv().unwrap_err(), TransportError::Closed);
-        assert_eq!(s_tx.send(Bytes::from_static(b"late")).unwrap_err(), TransportError::Closed);
+        assert_eq!(s_tx.send(Bytes::from_static(b"late").into()).unwrap_err(), TransportError::Closed);
     }
 }

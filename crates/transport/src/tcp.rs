@@ -1,6 +1,11 @@
 //! Real TCP transport with 4-byte big-endian length-prefix framing.
+//!
+//! A frame goes out as the length prefix plus every segment of the
+//! [`Frame`] in one `writev` loop, so a frame costs one syscall (and, under
+//! `TCP_NODELAY`, one TCP segment when it fits) however it is cut. A frame
+//! comes in as one contiguous segment.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener as StdListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -9,22 +14,36 @@ use std::time::Duration;
 use bytes::Bytes;
 
 use crate::{
-    telem, Connection, Dialer, Endpoint, Listener, RecvHalf, SendHalf, TransportError, MAX_FRAME,
+    telem, Connection, Dialer, Endpoint, Frame, Listener, RecvHalf, SendHalf, TransportError,
+    MAX_FRAME,
 };
 
-/// Writes one length-prefixed frame to `stream`.
-fn write_frame(mut stream: &TcpStream, frame: &[u8]) -> Result<(), TransportError> {
+static TELEM: telem::Instruments = telem::Instruments::new("tcp");
+
+/// Writes one length-prefixed frame to `stream`: the prefix and all the
+/// segments, with vectored writes until every byte is out.
+fn write_frame(mut stream: &TcpStream, frame: &Frame) -> Result<(), TransportError> {
     if frame.len() > MAX_FRAME {
         return Err(TransportError::FrameTooLarge(frame.len()));
     }
     let len = (frame.len() as u32).to_be_bytes();
-    stream.write_all(&len)?;
-    stream.write_all(frame)?;
+    let mut slices: Vec<IoSlice<'_>> = std::iter::once(IoSlice::new(&len))
+        .chain(frame.segments().iter().map(|s| IoSlice::new(s)))
+        .collect();
+    let mut unsent = &mut slices[..];
+    while !unsent.is_empty() {
+        match stream.write_vectored(unsent) {
+            Ok(0) => return Err(std::io::Error::from(std::io::ErrorKind::WriteZero).into()),
+            Ok(n) => IoSlice::advance_slices(&mut unsent, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
     Ok(())
 }
 
-/// Reads one length-prefixed frame from `stream`.
-fn read_frame(mut stream: &TcpStream) -> Result<Bytes, TransportError> {
+/// Reads one length-prefixed frame from `stream`, as one segment.
+fn read_frame(mut stream: &TcpStream) -> Result<Frame, TransportError> {
     let mut len_buf = [0u8; 4];
     stream.read_exact(&mut len_buf)?;
     let len = u32::from_be_bytes(len_buf) as usize;
@@ -33,7 +52,7 @@ fn read_frame(mut stream: &TcpStream) -> Result<Bytes, TransportError> {
     }
     let mut buf = vec![0u8; len];
     stream.read_exact(&mut buf)?;
-    Ok(Bytes::from(buf))
+    Ok(Bytes::from(buf).into())
 }
 
 /// A framed TCP connection.
@@ -49,14 +68,13 @@ impl TcpConnection {
 }
 
 impl Connection for TcpConnection {
-    fn send(&mut self, frame: Bytes) -> Result<(), TransportError> {
+    fn send(&mut self, frame: Frame) -> Result<(), TransportError> {
         let r = write_frame(&self.stream, &frame);
-        telem::track_send("tcp", frame.len(), r)
+        TELEM.track_send(frame.len(), r)
     }
 
-    fn recv(&mut self) -> Result<Bytes, TransportError> {
-        let r = read_frame(&self.stream);
-        telem::track_recv("tcp", r)
+    fn recv(&mut self) -> Result<Frame, TransportError> {
+        TELEM.track_recv(read_frame(&self.stream))
     }
 
     /// TCP splits by sharing the socket: `&TcpStream` reads and writes, so a
@@ -77,9 +95,9 @@ pub struct TcpSendHalf {
 }
 
 impl SendHalf for TcpSendHalf {
-    fn send(&mut self, frame: Bytes) -> Result<(), TransportError> {
+    fn send(&mut self, frame: Frame) -> Result<(), TransportError> {
         let r = write_frame(&self.stream, &frame);
-        telem::track_send("tcp", frame.len(), r)
+        TELEM.track_send(frame.len(), r)
     }
 
     /// Shuts the socket down in both directions, which unblocks a reader
@@ -95,9 +113,8 @@ pub struct TcpRecvHalf {
 }
 
 impl RecvHalf for TcpRecvHalf {
-    fn recv(&mut self) -> Result<Bytes, TransportError> {
-        let r = read_frame(&self.stream);
-        telem::track_recv("tcp", r)
+    fn recv(&mut self) -> Result<Frame, TransportError> {
+        TELEM.track_recv(read_frame(&self.stream))
     }
 }
 
@@ -183,13 +200,13 @@ mod tests {
         let ep = acceptor.endpoint();
         let h = std::thread::spawn(move || {
             let mut c = TcpDialer.dial(&ep).unwrap();
-            c.send(Bytes::from_static(b"hello tcp")).unwrap();
+            c.send(Bytes::from_static(b"hello tcp").into()).unwrap();
             c.recv().unwrap()
         });
         let mut server = acceptor.accept().unwrap();
-        assert_eq!(&server.recv().unwrap()[..], b"hello tcp");
-        server.send(Bytes::from_static(b"and back")).unwrap();
-        assert_eq!(&h.join().unwrap()[..], b"and back");
+        assert_eq!(server.recv().unwrap().to_vec(), b"hello tcp");
+        server.send(Bytes::from_static(b"and back").into()).unwrap();
+        assert_eq!(h.join().unwrap().to_vec(), b"and back");
     }
 
     #[test]
@@ -200,11 +217,52 @@ mod tests {
         let expect = payload.clone();
         let h = std::thread::spawn(move || {
             let mut c = TcpDialer.dial(&ep).unwrap();
-            c.send(Bytes::from(payload)).unwrap();
+            c.send(Bytes::from(payload).into()).unwrap();
         });
         let mut server = acceptor.accept().unwrap();
-        assert_eq!(&server.recv().unwrap()[..], &expect[..]);
+        assert_eq!(server.recv().unwrap().to_vec(), &expect[..]);
         h.join().unwrap();
+    }
+
+    #[test]
+    fn a_multi_segment_frame_arrives_intact_as_one_segment() {
+        let mut acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
+        let ep = acceptor.endpoint();
+        let body: Vec<u8> = (0..300_000u32).map(|i| (i % 251) as u8).collect();
+        let segs = vec![
+            Bytes::from_static(b"head"),
+            Bytes::new(),
+            Bytes::from(body.clone()),
+            Bytes::from_static(b"\0\0tail"),
+        ];
+        let expect: Vec<u8> = segs.iter().flat_map(|s| s.iter().copied()).collect();
+        let h = std::thread::spawn(move || {
+            let mut c = TcpDialer.dial(&ep).unwrap();
+            c.send(Frame::from(segs)).unwrap();
+            // A second frame right behind it: the prefix framed the first
+            // one exactly.
+            c.send(Bytes::from_static(b"next").into()).unwrap();
+        });
+        let mut server = acceptor.accept().unwrap();
+        let got = server.recv().unwrap();
+        assert_eq!(got.segments().len(), 1);
+        assert_eq!(got.to_vec(), expect);
+        assert_eq!(server.recv().unwrap().to_vec(), b"next");
+        h.join().unwrap();
+    }
+
+    #[test]
+    fn oversized_segment_sum_is_rejected_before_any_byte_is_written() {
+        let mut acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
+        let ep = acceptor.endpoint();
+        let mut c = TcpDialer.dial(&ep).unwrap();
+        let mut server = acceptor.accept().unwrap();
+        let half = Bytes::from(vec![0u8; MAX_FRAME / 2 + 1]);
+        let err = c.send(Frame::from(vec![half.clone(), half])).unwrap_err();
+        assert_eq!(err, TransportError::FrameTooLarge(MAX_FRAME + 2));
+        // Nothing reached the wire: the next frame is the first one read.
+        c.send(Bytes::from_static(b"ok").into()).unwrap();
+        assert_eq!(server.recv().unwrap().to_vec(), b"ok");
     }
 
     #[test]
@@ -262,7 +320,7 @@ mod tests {
         let ep = acceptor.endpoint();
         let h = std::thread::spawn(move || {
             let (mut tx, mut rx) = TcpDialer.dial(&ep).unwrap().split();
-            tx.send(Bytes::from_static(b"via half")).unwrap();
+            tx.send(Bytes::from_static(b"via half").into()).unwrap();
             let echoed = rx.recv().unwrap();
             // Reader parked in recv; closing the send half unblocks it.
             let reader = std::thread::spawn(move || rx.recv());
@@ -273,9 +331,9 @@ mod tests {
         });
         let mut server = acceptor.accept().unwrap();
         let frame = server.recv().unwrap();
-        assert_eq!(&frame[..], b"via half");
-        server.send(Bytes::from_static(b"back at you")).unwrap();
-        assert_eq!(&h.join().unwrap()[..], b"back at you");
+        assert_eq!(frame.to_vec(), b"via half");
+        server.send(Bytes::from_static(b"back at you").into()).unwrap();
+        assert_eq!(h.join().unwrap().to_vec(), b"back at you");
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 
-use crate::{Connection, Dialer, Endpoint, RecvHalf, SendHalf, TransportError};
+use crate::{Connection, Dialer, Endpoint, Frame, RecvHalf, SendHalf, TransportError};
 
 /// Cap on remembered fault→trace attributions, so a long chaos run cannot
 /// grow the list without bound. The interesting faults in a failing test are
@@ -181,8 +181,10 @@ impl FaultPlan {
 
     /// Possibly flips one byte of a delivered frame, per the corruption
     /// schedule. Length is preserved: corruption models a payload bit-flip,
-    /// not truncation (framing handles lengths separately).
-    fn maybe_corrupt(&self, frame: Bytes) -> Bytes {
+    /// not truncation (framing handles lengths separately). A corrupted
+    /// frame is flattened into one fresh segment first, so the flip never
+    /// reaches the sender's buffers.
+    fn maybe_corrupt(&self, frame: Frame) -> Frame {
         if self.corrupt_per_mille == 0 || frame.is_empty() {
             return frame;
         }
@@ -196,7 +198,7 @@ impl FaultPlan {
         let idx = (splitmix64(h) as usize) % buf.len();
         // ohpc-analyze: allow(panic-freedom) — idx is reduced mod the non-empty buffer length
         buf[idx] ^= 0x40;
-        Bytes::from(buf)
+        Bytes::from(buf).into()
     }
 
     /// A send, unless the schedule fails it first (the frame never leaves).
@@ -217,8 +219,8 @@ impl FaultPlan {
     /// before the request it awaits is even sent.
     fn recv_through(
         &self,
-        arrived: Result<Bytes, TransportError>,
-    ) -> Result<Bytes, TransportError> {
+        arrived: Result<Frame, TransportError>,
+    ) -> Result<Frame, TransportError> {
         let frame = arrived?;
         if self.should_fail(FaultKind::Recv) {
             return Err(TransportError::Closed);
@@ -258,11 +260,11 @@ struct FlakyConnection {
 }
 
 impl Connection for FlakyConnection {
-    fn send(&mut self, frame: Bytes) -> Result<(), TransportError> {
+    fn send(&mut self, frame: Frame) -> Result<(), TransportError> {
         self.plan.send_through(|| self.inner.send(frame))
     }
 
-    fn recv(&mut self) -> Result<Bytes, TransportError> {
+    fn recv(&mut self) -> Result<Frame, TransportError> {
         self.plan.recv_through(self.inner.recv())
     }
 
@@ -282,7 +284,7 @@ struct FlakySendHalf {
 }
 
 impl SendHalf for FlakySendHalf {
-    fn send(&mut self, frame: Bytes) -> Result<(), TransportError> {
+    fn send(&mut self, frame: Frame) -> Result<(), TransportError> {
         self.plan.send_through(|| self.inner.send(frame))
     }
 
@@ -297,7 +299,7 @@ struct FlakyRecvHalf {
 }
 
 impl RecvHalf for FlakyRecvHalf {
-    fn recv(&mut self) -> Result<Bytes, TransportError> {
+    fn recv(&mut self) -> Result<Frame, TransportError> {
         self.plan.recv_through(self.inner.recv())
     }
 }
@@ -360,26 +362,26 @@ mod tests {
         let dialer = FlakyDialer::new(Arc::new(fabric), ok_plan.clone());
         let mut conn = dialer.dial(&ep).unwrap();
         let mut server = listener.accept().unwrap();
-        assert!(conn.send(Bytes::from_static(b"x")).is_err());
+        assert!(conn.send(Bytes::from_static(b"x").into()).is_err());
         assert_eq!(ok_plan.injected_of(FaultKind::Send), 1);
         assert_eq!(ok_plan.injected_of(FaultKind::Recv), 0);
 
         // The split halves keep drawing from the same schedule: op 3 sends,
         // op 4 fails its send, op 5 receives, op 6 fails its receive.
         let (mut tx, mut rx) = conn.split();
-        tx.send(Bytes::from_static(b"y")).unwrap();
-        assert_eq!(tx.send(Bytes::from_static(b"z")).unwrap_err(), TransportError::Closed);
-        assert_eq!(&server.recv().unwrap()[..], b"y", "the failed send never left");
-        server.send(Bytes::from_static(b"a")).unwrap();
-        server.send(Bytes::from_static(b"b")).unwrap();
-        assert_eq!(&rx.recv().unwrap()[..], b"a");
+        tx.send(Bytes::from_static(b"y").into()).unwrap();
+        assert_eq!(tx.send(Bytes::from_static(b"z").into()).unwrap_err(), TransportError::Closed);
+        assert_eq!(server.recv().unwrap().to_vec(), b"y", "the failed send never left");
+        server.send(Bytes::from_static(b"a").into()).unwrap();
+        server.send(Bytes::from_static(b"b").into()).unwrap();
+        assert_eq!(rx.recv().unwrap().to_vec(), b"a");
         // A recv fault is decided on arrival: it consumes the frame.
         assert_eq!(rx.recv().unwrap_err(), TransportError::Closed);
         assert_eq!(ok_plan.injected_of(FaultKind::Send), 2);
         assert_eq!(ok_plan.injected_of(FaultKind::Recv), 1);
         assert_eq!(ok_plan.operations(), 6);
-        server.send(Bytes::from_static(b"c")).unwrap();
-        assert_eq!(&rx.recv().unwrap()[..], b"c", "frame b was consumed by the fault");
+        server.send(Bytes::from_static(b"c").into()).unwrap();
+        assert_eq!(rx.recv().unwrap().to_vec(), b"c", "frame b was consumed by the fault");
     }
 
     #[test]
@@ -393,9 +395,10 @@ mod tests {
         let mut conn = dialer.dial(&ep).unwrap();
         let mut server = listener.accept().unwrap();
         let payload = b"all your frame are belong to us";
-        server.send(Bytes::from_static(payload)).unwrap();
+        server.send(Bytes::from_static(payload).into()).unwrap();
         let got = conn.recv().unwrap();
         assert_eq!(got.len(), payload.len(), "corruption preserves length");
+        let got = got.to_vec();
         assert_ne!(&got[..], payload, "frame was corrupted");
         // Exactly one byte differs, by exactly one flipped bit pattern.
         let diffs = got.iter().zip(payload.iter()).filter(|(a, b)| a != b).count();
@@ -432,10 +435,10 @@ mod tests {
         // op1 = dial (ok), op2 = send (ok), op3 = recv (ok), op4 = send (FAIL)
         let mut conn = dialer.dial(&ep).unwrap();
         let mut server = listener.accept().unwrap();
-        conn.send(Bytes::from_static(b"one")).unwrap();
-        server.send(Bytes::from_static(b"ack")).unwrap();
-        assert_eq!(&conn.recv().unwrap()[..], b"ack");
-        assert_eq!(conn.send(Bytes::from_static(b"two")).unwrap_err(), TransportError::Closed);
+        conn.send(Bytes::from_static(b"one").into()).unwrap();
+        server.send(Bytes::from_static(b"ack").into()).unwrap();
+        assert_eq!(conn.recv().unwrap().to_vec(), b"ack");
+        assert_eq!(conn.send(Bytes::from_static(b"two").into()).unwrap_err(), TransportError::Closed);
         assert_eq!(plan.injected(), 1);
         assert_eq!(plan.injected_of(FaultKind::Send), 1);
     }

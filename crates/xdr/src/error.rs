@@ -14,6 +14,16 @@ pub enum XdrError {
         /// Bytes remaining in the input.
         available: usize,
     },
+    /// An item of a segmented input straddles a segment boundary: `needed`
+    /// bytes were asked for, only `available` are left in the current
+    /// segment. Writers never split an item, so such input was not
+    /// produced by one.
+    SegmentStraddle {
+        /// Bytes the decode step required.
+        needed: usize,
+        /// Bytes left in the current segment.
+        available: usize,
+    },
     /// A length prefix exceeded the decoder's sanity limit.
     LengthOverflow {
         /// Length the prefix declared.
@@ -42,6 +52,10 @@ impl fmt::Display for XdrError {
             XdrError::Truncated { needed, available } => {
                 write!(f, "truncated XDR data: needed {needed} bytes, {available} available")
             }
+            XdrError::SegmentStraddle { needed, available } => write!(
+                f,
+                "XDR item of {needed} bytes straddles a segment boundary ({available} before it)"
+            ),
             XdrError::LengthOverflow { declared, limit } => {
                 write!(f, "XDR length {declared} exceeds limit {limit}")
             }

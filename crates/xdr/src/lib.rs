@@ -53,10 +53,13 @@ pub fn decode_from_slice<T: XdrDecode>(buf: &[u8]) -> Result<T, XdrError> {
     decode_all(XdrReader::new(buf))
 }
 
-/// [`decode_from_slice`] over a shared buffer: opaques the value reads with
-/// [`XdrReader::get_opaque_bytes`] share `buf` instead of copying it.
-pub fn decode_from_bytes<T: XdrDecode>(buf: &bytes::Bytes) -> Result<T, XdrError> {
-    decode_all(XdrReader::from_bytes(buf))
+/// [`decode_from_slice`] over the concatenation of shared segments: the
+/// segments a writer's [`finish_segments`](XdrWriter::finish_segments)
+/// produced, or any split of a stream that keeps each item inside one
+/// segment. Opaques the value reads with [`XdrReader::get_opaque_bytes`]
+/// share their segment instead of copying it.
+pub fn decode_from_segments<T: XdrDecode>(segs: &[bytes::Bytes]) -> Result<T, XdrError> {
+    decode_all(XdrReader::from_segments(segs))
 }
 
 fn decode_all<T: XdrDecode>(mut r: XdrReader<'_>) -> Result<T, XdrError> {

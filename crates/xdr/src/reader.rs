@@ -9,18 +9,28 @@ use crate::{pad4, XdrError};
 /// make us allocate.
 pub const DEFAULT_LENGTH_LIMIT: u32 = 64 << 20;
 
-/// Borrowing XDR decoder over a byte slice.
+/// Borrowing XDR decoder over a byte slice or a list of segments.
 ///
 /// Every read checks bounds and returns [`XdrError::Truncated`] rather than
 /// panicking, because input typically arrives from the network.
 ///
-/// A reader built with [`from_bytes`](Self::from_bytes) also knows the
-/// shared buffer behind the slice, so [`get_opaque_bytes`](Self::get_opaque_bytes)
-/// can hand out opaques that share it instead of copying them.
+/// A reader built with [`from_segments`](Self::from_segments) also knows
+/// the shared buffers behind its input, so
+/// [`get_opaque_bytes`](Self::get_opaque_bytes) can hand out opaques that
+/// share them instead of copying them. Reads run on across segment
+/// boundaries; an item that lies inside one segment is borrowed from it,
+/// and one that straddles two fails with [`XdrError::SegmentStraddle`].
 #[derive(Debug, Clone)]
 pub struct XdrReader<'a> {
+    /// The segment reads currently come from.
     buf: &'a [u8],
+    /// The shared buffer behind `buf`, if the reader has one.
     src: Option<&'a Bytes>,
+    /// Segments after `buf`, and their total length.
+    next: &'a [Bytes],
+    next_len: usize,
+    /// Bytes in the segments before `buf`.
+    base: usize,
     pos: usize,
     length_limit: u32,
 }
@@ -28,25 +38,37 @@ pub struct XdrReader<'a> {
 impl<'a> XdrReader<'a> {
     /// Wraps `buf` with the default length limit.
     pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, src: None, pos: 0, length_limit: DEFAULT_LENGTH_LIMIT }
+        Self::with_length_limit(buf, DEFAULT_LENGTH_LIMIT)
     }
 
     /// Wraps `buf` with a custom cap on length prefixes.
     pub fn with_length_limit(buf: &'a [u8], limit: u32) -> Self {
-        Self { buf, src: None, pos: 0, length_limit: limit }
+        Self { buf, src: None, next: &[], next_len: 0, base: 0, pos: 0, length_limit: limit }
     }
 
-    /// Wraps a shared buffer with the default length limit. Reads behave as
-    /// with [`new`](Self::new), except that
-    /// [`get_opaque_bytes`](Self::get_opaque_bytes) shares `buf` instead of
-    /// copying out of it.
-    pub fn from_bytes(buf: &'a Bytes) -> Self {
-        Self { buf, src: Some(buf), pos: 0, length_limit: DEFAULT_LENGTH_LIMIT }
+    /// Reads the concatenation of `segs`, with the default length limit.
+    /// Reads behave as with [`new`](Self::new), except that
+    /// [`get_opaque_bytes`](Self::get_opaque_bytes) shares the segment an
+    /// opaque lies in instead of copying out of it, so an opaque the writer
+    /// appended as a segment of its own comes back as that very segment.
+    pub fn from_segments(segs: &'a [Bytes]) -> Self {
+        let Some((first, next)) = segs.split_first() else {
+            return Self::new(&[]);
+        };
+        Self {
+            buf: first,
+            src: Some(first),
+            next,
+            next_len: next.iter().map(Bytes::len).sum(),
+            base: 0,
+            pos: 0,
+            length_limit: DEFAULT_LENGTH_LIMIT,
+        }
     }
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.buf.len() - self.pos + self.next_len
     }
 
     /// True when all input has been consumed.
@@ -54,19 +76,42 @@ impl<'a> XdrReader<'a> {
         self.remaining() == 0
     }
 
-    /// Current offset into the underlying slice.
+    /// Bytes consumed so far.
     pub fn position(&self) -> usize {
-        self.pos
+        self.base + self.pos
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], XdrError> {
-        if self.remaining() < n {
-            return Err(XdrError::Truncated { needed: n, available: self.remaining() });
+        if self.buf.len() - self.pos < n {
+            self.advance_for(n)?;
         }
-        // ohpc-analyze: allow(panic-freedom) — range is bounds-checked by the remaining() guard above
+        // ohpc-analyze: allow(panic-freedom) — range is bounds-checked: the current segment holds n more bytes (advance_for guarantees it)
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
+    }
+
+    /// Steps past exhausted segments until the next `n` bytes lie in the
+    /// current one. Fails, consuming nothing, when fewer than `n` bytes
+    /// remain or when they straddle a segment boundary.
+    #[cold]
+    fn advance_for(&mut self, n: usize) -> Result<(), XdrError> {
+        let remaining = self.remaining();
+        if remaining < n {
+            return Err(XdrError::Truncated { needed: n, available: remaining });
+        }
+        while self.pos == self.buf.len() {
+            let Some((seg, rest)) = self.next.split_first() else { break };
+            self.base += self.buf.len();
+            self.next_len -= seg.len();
+            (self.buf, self.src, self.next, self.pos) = (seg, Some(seg), rest, 0);
+        }
+        let available = self.buf.len() - self.pos;
+        if available < n {
+            return Err(XdrError::SegmentStraddle { needed: n, available });
+        }
+        Ok(())
     }
 
     /// Decodes an unsigned 32-bit integer.
@@ -144,14 +189,19 @@ impl<'a> XdrReader<'a> {
     }
 
     /// Decodes variable-length opaque data as an owned [`Bytes`]. Over a
-    /// reader built with [`from_bytes`](Self::from_bytes) the result shares
-    /// the source buffer (no copy, and it keeps that whole buffer alive);
-    /// over a plain slice it is a copy. Meant for large bodies: small values
+    /// reader built with [`from_segments`](Self::from_segments) the result
+    /// shares the source segment (no copy, and it keeps that whole buffer alive); over a plain
+    /// slice it is a copy. Meant for large bodies: small values
     /// that outlive the message should use [`get_opaque`](Self::get_opaque)
     /// and copy, so they do not pin a large frame.
     pub fn get_opaque_bytes(&mut self) -> Result<Bytes, XdrError> {
-        let data = self.get_opaque()?;
-        Ok(match self.src {
+        let len = self.get_u32()?;
+        let len = self.check_len(len)?;
+        let data = self.take(len)?;
+        // The padding may open the next segment; the data lies in this one.
+        let src = self.src;
+        self.take_padding(len)?;
+        Ok(match src {
             Some(src) => src.slice_ref(data),
             None => Bytes::copy_from_slice(data),
         })
@@ -160,11 +210,16 @@ impl<'a> XdrReader<'a> {
     /// Decodes `len` bytes of fixed-length opaque data plus padding.
     pub fn get_fixed_opaque(&mut self, len: usize) -> Result<&'a [u8], XdrError> {
         let data = self.take(len)?;
-        let pad = self.take(pad4(len))?;
-        if pad.iter().any(|&b| b != 0) {
+        self.take_padding(len)?;
+        Ok(data)
+    }
+
+    /// Consumes the zero padding after `len` bytes of opaque data.
+    fn take_padding(&mut self, len: usize) -> Result<(), XdrError> {
+        if self.take(pad4(len))?.iter().any(|&b| b != 0) {
             return Err(XdrError::NonZeroPadding);
         }
-        Ok(data)
+        Ok(())
     }
 
     /// Decodes a UTF-8 string.
@@ -335,7 +390,7 @@ mod tests {
     #[test]
     fn opaque_bytes_share_a_bytes_source_and_copy_a_slice() {
         let frame = Bytes::from(vec![0, 0, 0, 3, b'a', b'b', b'c', 0, 0, 0, 0, 0]);
-        let mut r = XdrReader::from_bytes(&frame);
+        let mut r = XdrReader::from_segments(std::slice::from_ref(&frame));
         let body = r.get_opaque_bytes().unwrap();
         assert_eq!(&body[..], b"abc");
         assert_eq!(body.as_ptr(), frame[4..].as_ptr(), "borrowed from the frame");
@@ -346,6 +401,46 @@ mod tests {
         let copied = r.get_opaque_bytes().unwrap();
         assert_eq!(copied, body);
         assert_ne!(copied.as_ptr(), body.as_ptr(), "a plain slice reader copies");
+    }
+
+    #[test]
+    fn segments_read_as_their_concatenation() {
+        let segs = [
+            Bytes::from(vec![0, 0, 0, 7, 0, 0, 0, 5]),
+            Bytes::new(),
+            Bytes::from(b"hello".to_vec()),
+            Bytes::from(vec![0, 0, 0, 0, 0, 0, 9]),
+        ];
+        let mut r = XdrReader::from_segments(&segs);
+        assert_eq!(r.remaining(), 20);
+        assert_eq!(r.get_u32().unwrap(), 7);
+        let body = r.get_opaque_bytes().unwrap();
+        assert_eq!(&body[..], b"hello");
+        assert_eq!(body.as_ptr(), segs[2].as_ptr(), "the opaque is the segment itself");
+        assert_eq!(r.position(), 16);
+        assert_eq!(r.get_u32().unwrap(), 9);
+        assert!(r.is_empty());
+        assert_eq!(
+            r.get_u32().unwrap_err(),
+            XdrError::Truncated { needed: 4, available: 0 }
+        );
+        assert!(XdrReader::from_segments(&[]).is_empty());
+    }
+
+    #[test]
+    fn an_item_across_a_segment_boundary_is_a_typed_error() {
+        let segs = [Bytes::from(vec![0, 0]), Bytes::from(vec![0, 1, 0, 0, 0, 2])];
+        let mut r = XdrReader::from_segments(&segs);
+        assert_eq!(
+            r.get_u32().unwrap_err(),
+            XdrError::SegmentStraddle { needed: 4, available: 2 }
+        );
+        assert_eq!(r.position(), 0, "nothing consumed on failure");
+        let err = r.get_u64().unwrap_err();
+        assert_eq!(err, XdrError::SegmentStraddle { needed: 8, available: 2 });
+        assert!(err.to_string().contains("straddles"));
+        // Past the boundary, reads go on normally.
+        assert_eq!(r.get_fixed_opaque(2).unwrap_err(), XdrError::NonZeroPadding);
     }
 
     #[test]

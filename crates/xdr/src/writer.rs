@@ -7,44 +7,86 @@ use crate::pad4;
 /// All `put_*` methods keep the stream 4-byte aligned. `finish` hands back the
 /// accumulated buffer as cheaply-cloneable [`Bytes`], which is what the
 /// transport layer frames onto the wire.
+///
+/// The stream is a list of segments: an opaque appended with
+/// [`put_opaque_bytes`](Self::put_opaque_bytes) becomes a segment of its
+/// own, shared with the caller rather than copied, and encoding carries on
+/// in a fresh buffer after it. [`finish_segments`](Self::finish_segments)
+/// hands the list over as is; [`finish`](Self::finish) joins it.
 #[derive(Debug, Default)]
 pub struct XdrWriter {
+    /// Segments already closed, in stream order.
+    segs: Vec<Bytes>,
+    /// Total length of `segs`.
+    segs_len: usize,
+    /// The open segment every `put_*` appends to.
     buf: BytesMut,
 }
 
 impl XdrWriter {
     /// Creates an empty writer.
     pub fn new() -> Self {
-        Self { buf: BytesMut::new() }
+        Self::default()
     }
 
     /// Creates a writer with `cap` bytes pre-reserved — use when the encoded
     /// size is predictable (e.g. fixed-size array payloads) to avoid regrowth.
     pub fn with_capacity(cap: usize) -> Self {
-        Self { buf: BytesMut::with_capacity(cap) }
+        Self { buf: BytesMut::with_capacity(cap), ..Self::default() }
     }
 
     /// Number of bytes encoded so far. Always a multiple of 4.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.segs_len + self.buf.len()
     }
 
     /// True when nothing has been encoded.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
     /// Borrows the bytes encoded so far without consuming the writer. Used
     /// when an already-encoded body must be embedded into an outer frame.
+    /// Only a writer that holds no shared segment is contiguous, so only
+    /// such a writer may be peeked.
     pub fn peek(&self) -> &[u8] {
+        debug_assert!(self.segs.is_empty(), "peek at a segmented XDR writer");
         &self.buf
     }
 
-    /// Consumes the writer, returning the encoded bytes. The buffer is
-    /// handed over, not copied.
+    /// Consumes the writer, returning the encoded bytes as one contiguous
+    /// buffer. A writer without shared segments hands its buffer over; one
+    /// with them joins the segments into a new buffer (a copy).
     pub fn finish(self) -> Bytes {
-        debug_assert_eq!(self.buf.len() % 4, 0, "XDR stream must stay 4-byte aligned");
-        self.buf.freeze()
+        if self.segs.is_empty() {
+            debug_assert_eq!(self.len() % 4, 0, "XDR stream must stay 4-byte aligned");
+            return self.buf.freeze();
+        }
+        Bytes::from(self.finish_segments().concat())
+    }
+
+    /// Consumes the writer, returning the encoded stream as its segments,
+    /// in order and without copying any of them: the bytes before each
+    /// shared opaque, each shared opaque itself, and the bytes after the
+    /// last one. Their concatenation is what [`finish`](Self::finish)
+    /// returns. Empty when nothing was encoded.
+    pub fn finish_segments(mut self) -> Vec<Bytes> {
+        debug_assert_eq!(self.len() % 4, 0, "XDR stream must stay 4-byte aligned");
+        self.close_segment();
+        self.segs
+    }
+
+    /// Closes the open buffer into a segment, unless it is empty.
+    fn close_segment(&mut self) {
+        if !self.buf.is_empty() {
+            let seg = std::mem::take(&mut self.buf).freeze();
+            self.push_segment(seg);
+        }
+    }
+
+    fn push_segment(&mut self, seg: Bytes) {
+        self.segs_len += seg.len();
+        self.segs.push(seg);
     }
 
     /// Encodes an unsigned 32-bit integer.
@@ -96,11 +138,32 @@ impl XdrWriter {
         self.put_fixed_opaque(data);
     }
 
+    /// Encodes variable-length opaque data exactly as
+    /// [`put_opaque`](Self::put_opaque) does, but appends `data` as a
+    /// segment of its own instead of copying it: the length word closes the
+    /// open segment, `data` follows, and the zero padding opens the next.
+    /// The mirror of [`XdrReader::get_opaque_bytes`](crate::XdrReader::get_opaque_bytes).
+    pub fn put_opaque_bytes(&mut self, data: Bytes) {
+        self.put_u32(data.len() as u32);
+        if data.is_empty() {
+            return;
+        }
+        let len = data.len();
+        self.close_segment();
+        self.push_segment(data);
+        self.put_padding(len);
+    }
+
     /// Encodes fixed-length opaque data (no length prefix), padded to 4 bytes.
     /// The decoder must know the length out of band.
     pub fn put_fixed_opaque(&mut self, data: &[u8]) {
         self.buf.extend_from_slice(data);
-        for _ in 0..pad4(data.len()) {
+        self.put_padding(data.len());
+    }
+
+    /// The zero padding after `len` bytes of opaque data.
+    fn put_padding(&mut self, len: usize) {
+        for _ in 0..pad4(len) {
             self.buf.put_u8(0);
         }
     }
@@ -210,6 +273,37 @@ mod tests {
         w.put_string("no copy");
         let before = w.peek().as_ptr();
         assert_eq!(w.finish().as_ptr(), before);
+    }
+
+    #[test]
+    fn opaque_bytes_is_a_shared_segment_with_the_put_opaque_bytes() {
+        for body in [&b""[..], b"a", b"abc", b"abcd", b"abcdefg"] {
+            let shared = Bytes::from(body.to_vec());
+            let mut w = XdrWriter::new();
+            w.put_u32(7);
+            w.put_opaque_bytes(shared.clone());
+            w.put_u32(9);
+            let mut flat = XdrWriter::new();
+            flat.put_u32(7);
+            flat.put_opaque(body);
+            flat.put_u32(9);
+            assert_eq!(w.len(), flat.len());
+            let segs = w.finish_segments();
+            let joined: Vec<u8> = segs.iter().flat_map(|s| s.iter().copied()).collect();
+            assert_eq!(joined, flat.finish().to_vec());
+            if !body.is_empty() {
+                assert_eq!(segs.len(), 3, "head, body, tail");
+                assert_eq!(segs[1].as_ptr(), shared.as_ptr(), "the body is not copied");
+            }
+        }
+    }
+
+    #[test]
+    fn finish_joins_the_segments() {
+        let mut w = XdrWriter::new();
+        w.put_opaque_bytes(Bytes::from_static(b"xyz"));
+        assert_eq!(&w.finish()[..], &[0, 0, 0, 3, b'x', b'y', b'z', 0]);
+        assert!(XdrWriter::new().finish_segments().is_empty());
     }
 
     #[test]
